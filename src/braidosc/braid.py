@@ -29,8 +29,8 @@ discrepancy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -105,9 +105,9 @@ def _pr_closed(ctx, st, coeff, g, inverse, binomial, out):
     wk = 1.0
     for k in range(fm + 1):
         if binomial == "series":
-            bf = ctx.sqrt(math.comb(fm, k) * math.comb(sm + k, sm))
+            bf = math.sqrt(math.comb(fm, k) * math.comb(sm + k, sm))
         elif binomial == "multiset":
-            bf = 1.0 if k == 0 else ctx.sqrt(math.comb(fm + k - 1, fm - 1) * math.comb(sm + k, sm))
+            bf = 1.0 if k == 0 else math.sqrt(math.comb(fm + k - 1, fm - 1) * math.comb(sm + k, sm))
         else:
             raise ValueError("binomial must be 'series' or 'multiset'")
         occ = list(st.occ)
@@ -146,8 +146,8 @@ def _pr_series(ctx, st, coeff, g, inverse, out):
         if k:
             step = (
                 (qq - 1 / qq)
-                * ctx.qpow(lf.gamma / 2, inverse) * ctx.sqrt_qn[first] * ctx.sqrt(cf)
-                * ctx.qpow(-ls.gamma / 2, inverse) * ctx.sqrt_qn[second] * ctx.sqrt(cs + 1)
+                * ctx.qpow(lf.gamma / 2, inverse) * ctx.sqrt_qn[first] * math.sqrt(cf)
+                * ctx.qpow(-ls.gamma / 2, inverse) * ctx.sqrt_qn[second] * math.sqrt(cs + 1)
             )
             running = running * step / k
             cf -= 1
@@ -463,15 +463,13 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
             images, bf = rewrite_generator(cf, i, el)
             for el2, co in images.items():
                 if backend == "numeric":
-                    if renormalize:
-                        # homogeneous: the vacuum factor is constant, keep it in the phase
-                        pass
-                    else:
+                    # homogeneous labels keep the constant vacuum factor in the phase
+                    if not renormalize:
                         co = co * bf
                     entries[index[el2], col] = float(co)
                 else:
                     entries[index[el2]][col] = co
-        phase = Phase(Fraction(-1 if inverse else 1)) if (backend == "laurent" or renormalize) else Phase()
+        phase = Phase(-1 if inverse else 1) if (backend == "laurent" or renormalize) else Phase()
         mats.append(
             BraidMatrix(
                 generator=i,
@@ -535,7 +533,7 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, binomial, tols):
                     if renormalize:
                         v /= common
                     entries[index[BasisElement(tuple(target), row_p)], col] = v
-        phase = Phase(Fraction(-1 if inverse else 1)) if renormalize else Phase()
+        phase = Phase(-1 if inverse else 1) if renormalize else Phase()
         mats.append(
             BraidMatrix(
                 generator=i,
@@ -576,6 +574,11 @@ def build_matrices(
     case the constant vacuum factor q**(-2 c gamma) per generator is
     reported in the phase instead of the entries.
     """
+    for name, value, low in (("n", n, 2), ("N", N, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError("%s must be an integer, got %r" % (name, value))
+        if value < low:
+            raise ValueError("%s must be >= %d, got %r" % (name, low, value))
     if backend is None:
         backend = "numeric" if ctx is not None else "laurent"
     if backend == "laurent":
@@ -637,7 +640,7 @@ def closed_form_burau(n, inverse=False):
                 backend="laurent",
                 basis=basis,
                 entries=M,
-                phase=Phase(Fraction(-1 if inverse else 1)),
+                phase=Phase(-1 if inverse else 1),
             )
         )
     return mats
@@ -706,7 +709,7 @@ def closed_form_lkb(n, inverse=False):
                 backend="laurent",
                 basis=basis,
                 entries=M,
-                phase=Phase(Fraction(-1 if inverse else 1)),
+                phase=Phase(-1 if inverse else 1),
             )
         )
     return mats
@@ -1040,10 +1043,9 @@ def inverse_defect(fwd, inv):
             raise ValueError("mismatched generator lists")
         prod = _mul(mf.entries, mi.entries)
         phase = mf.phase * mi.phase
-        if not phase.is_trivial() and phase.exponent != 0:
+        if phase.exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
         if isinstance(prod, np.ndarray):
-            prod = prod * phase.factor
             d = float(np.max(np.abs(prod - np.eye(prod.shape[0]))))
         else:
             d = 0.0 if lmat_eq(prod, _laurent_identity(len(prod))) else lmat_max_abs_at(
@@ -1065,9 +1067,12 @@ def evaluate_word(word, forward, inverse):
     total = None
     phase = Phase()
     for letter in word:
-        if letter == 0:
-            raise ValueError("word letters are nonzero signed generator indices")
-        mat = by_gen_f[letter] if letter > 0 else by_gen_i[-letter]
+        mat = by_gen_f.get(letter) if letter > 0 else by_gen_i.get(-letter)
+        if mat is None:
+            raise ValueError(
+                "word letter %r names no generator: letters are nonzero, |letter| <= %d, "
+                "and negative letters need the inverse family" % (letter, len(forward))
+            )
         total = mat.entries if total is None else _mul(mat.entries, total)
         phase = mat.phase * phase
     if total is None:

@@ -5,39 +5,23 @@ matrices), ``dims`` (dimension tables), ``verify`` (run verification
 suites), and ``word`` (evaluate a braid word as an ordered matrix
 product).  JSON is the canonical interchange format; CSV entry export
 is numeric-only and lossy.  Exit codes: 0 success, 1 invariant
-violation during computation, 2 invalid configuration.
-
-The environment variable BRAIDOSC_PRECISION (decimal digits, >= 50)
-switches scalar arithmetic in numeric contexts to extended precision;
-exported entries are still rendered as doubles.
+violation during computation, 2 invalid configuration (unknown options,
+n < 2, N < 0, non-finite q or labels, out-of-range word letters).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from .scalars import DEFAULT_TOLS
-from .oscillator import BraidoscError, RepLabel, homogeneous_context, marked_context
+from .oscillator import BraidoscError, Context, RepLabel, homogeneous_context, marked_context
 from .weightspace import counts
 from .braid import build_matrices, evaluate_word, family_to_json
 from .verify import run_suites
-
-
-def _precision(args):
-    env = os.environ.get("BRAIDOSC_PRECISION")
-    if getattr(args, "precision", None) is not None:
-        return args.precision
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return None
 
 
 def _rep_args(p, with_route=True):
@@ -59,29 +43,26 @@ def _rep_args(p, with_route=True):
         p.add_argument("--route", choices=("rewrite", "direct", "closed_form"), default="rewrite")
         p.add_argument("--binomial", choices=("series", "multiset"), default="series")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--precision", type=int, default=None, help="decimal digits for scalar arithmetic")
 
 
 def _build_context(args):
-    precision = _precision(args)
     if args.labels:
         try:
             pairs = json.loads(args.labels)
             labels = tuple(RepLabel(float(g), float(c)) for g, c in pairs)
         except (ValueError, TypeError) as exc:
+            print("bad --labels: %s" % exc, file=sys.stderr)
             raise SystemExit(2)
         if len(labels) != args.n:
             print("label count must equal n", file=sys.stderr)
             raise SystemExit(2)
-        from .oscillator import Context
-
-        return Context(labels, args.q, precision=precision)
+        return Context(labels, args.q)
     if args.het:
         return marked_context(
             args.n, RepLabel(args.gamma, args.c), RepLabel(args.gamma2, args.c2),
-            args.position, args.q, precision=precision,
+            args.position, args.q,
         )
-    return homogeneous_context(args.n, args.gamma, args.c, args.q, precision=precision)
+    return homogeneous_context(args.n, args.gamma, args.c, args.q)
 
 
 def _build_family(args):

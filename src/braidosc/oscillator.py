@@ -10,18 +10,16 @@ States of an n-fold product are kept as sparse linear combinations of
 :class:`TensorState`, which records both the occupation numbers and the
 arrangement ("sector") telling which representation label sits in which
 slot.  Braid generators permute the arrangement; everything else leaves
-it alone.  All public slot and generator indices are 1-based.
+it alone.  All public slot and generator indices are 1-based.  Scalars
+are plain float64 throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 from .scalars import q_number
-
-GENERATORS = ("a+", "a-", "e", "g+", "g-")
 
 
 class BraidoscError(Exception):
@@ -30,12 +28,14 @@ class BraidoscError(Exception):
 
 @dataclass(frozen=True)
 class RepLabel:
-    """Representation label (gamma, c); gamma must not vanish."""
+    """Representation label (gamma, c); both finite, gamma nonzero."""
 
     gamma: float
     c: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.c)):
+            raise ValueError("label (gamma=%r, c=%r) must be finite" % (self.gamma, self.c))
         if self.gamma == 0:
             raise ValueError("gamma = 0 does not label an irreducible module")
 
@@ -45,45 +45,26 @@ class Context:
 
     The labels tuple fixes the available representations; slot contents of
     individual states are permutations of it.  Enforces the hermitian
-    regime [gamma]_q > 0 for every label.  ``precision`` switches scalar
-    arithmetic to mpmath with at least that many decimal digits (matrix
-    factorizations elsewhere still run in double precision).
+    regime [gamma]_q > 0 for every label.
     """
 
-    def __init__(self, labels, q, precision=None):
+    def __init__(self, labels, q):
         self.labels = tuple(labels)
         if not self.labels:
             raise ValueError("need at least one representation label")
         for lab in self.labels:
             if not isinstance(lab, RepLabel):
                 raise TypeError("labels must be RepLabel instances")
-        if q <= 0 or q == 1:
-            raise ValueError("q must be positive and different from 1")
-        self.precision = precision
-        if precision is not None:
-            import mpmath
-
-            if mpmath.mp.dps < precision:
-                mpmath.mp.dps = precision
-            self._mp = mpmath
-            q = mpmath.mpf(q)
-        else:
-            self._mp = None
+        if not math.isfinite(q) or q <= 0 or q == 1:
+            raise ValueError("q must be finite, positive and different from 1, got %r" % (q,))
         self.q = q
         self.qn = tuple(q_number(lab.gamma, q) for lab in self.labels)
         for lab, qn in zip(self.labels, self.qn):
             if qn <= 0:
                 raise ValueError("[gamma]_q <= 0 for label %r at q=%s" % (lab, q))
-        self.sqrt_qn = tuple(self.sqrt(v) for v in self.qn)
+        self.sqrt_qn = tuple(math.sqrt(v) for v in self.qn)
         self.qg_half = tuple(self.qpow(lab.gamma / 2) for lab in self.labels)
         self._canon = {}
-
-    # -- scalar helpers (numeric backend, mpmath-aware)
-
-    def sqrt(self, v):
-        if self._mp is not None:
-            return self._mp.sqrt(v)
-        return math.sqrt(v)
 
     def qpow(self, exponent, inverse=False):
         """q**exponent, or q**-exponent under the q -> 1/q substitution."""
@@ -145,23 +126,36 @@ class Context:
         return self.canonical_perm(lst)
 
     def distinct_sectors(self):
-        """Sorted canonical arrangements of the label multiset."""
-        seen = {self.canonical_perm(p) for p in permutations(range(self.n))}
+        """Sorted canonical arrangements of the label multiset.
+
+        Adjacent swaps generate every arrangement, so the closure of the
+        identity under swapped_perm visits each sector exactly once.
+        """
+        start = self.identity_perm()
+        seen = {start}
+        todo = [start]
+        while todo:
+            perm = todo.pop()
+            for slot in range(1, self.n):
+                nxt = self.swapped_perm(perm, slot)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
         return sorted(seen)
 
 
-def homogeneous_context(n, gamma, c, q, precision=None):
+def homogeneous_context(n, gamma, c, q):
     """Context with n equal labels."""
-    return Context([RepLabel(gamma, c)] * n, q, precision=precision)
+    return Context([RepLabel(gamma, c)] * n, q)
 
 
-def marked_context(n, base, special, position, q, precision=None):
+def marked_context(n, base, special, position, q):
     """Context with one distinguished label at the given slot (1-based)."""
     if not 1 <= position <= n:
         raise ValueError("position out of range")
     labels = [base] * n
     labels[position - 1] = special
-    return Context(labels, q, precision=precision)
+    return Context(labels, q)
 
 
 @dataclass(frozen=True)
@@ -170,9 +164,6 @@ class TensorState:
 
     perm: tuple
     occ: tuple
-
-    def total_occupation(self):
-        return sum(self.occ)
 
 
 class WeightVector:
@@ -249,7 +240,7 @@ class WeightVector:
         return total
 
     def norm(self):
-        return self.ctx.sqrt(self.inner(self)) if self.terms else 0.0
+        return math.sqrt(self.inner(self)) if self.terms else 0.0
 
     def sectors(self):
         return sorted({st.perm for st in self.terms})
@@ -313,10 +304,10 @@ def apply_generator(gen, slot, vec):
             if m == 0:
                 continue
             out.add_term(TensorState(st.perm, _replace(st.occ, g, m - 1)),
-                         co * ctx.sqrt_qn[idx] * ctx.sqrt(m))
+                         co * ctx.sqrt_qn[idx] * math.sqrt(m))
         elif gen == "a+":
             out.add_term(TensorState(st.perm, _replace(st.occ, g, m + 1)),
-                         co * ctx.sqrt_qn[idx] * ctx.sqrt(m + 1))
+                         co * ctx.sqrt_qn[idx] * math.sqrt(m + 1))
         elif gen == "e":
             out.add_term(st, co * (m + ctx.labels[idx].c))
         elif gen == "g+":
@@ -360,10 +351,10 @@ def apply_coproduct(gen, vec):
             idx = st.perm[j]
             dress = ctx.qpow((sum(gammas[j + 1:]) - sum(gammas[:j])) / 2)
             if lowering:
-                amp = ctx.sqrt_qn[idx] * ctx.sqrt(m)
+                amp = ctx.sqrt_qn[idx] * math.sqrt(m)
                 new = TensorState(st.perm, _replace(st.occ, j, m - 1))
             else:
-                amp = ctx.sqrt_qn[idx] * ctx.sqrt(m + 1)
+                amp = ctx.sqrt_qn[idx] * math.sqrt(m + 1)
                 new = TensorState(st.perm, _replace(st.occ, j, m + 1))
             out.add_term(new, co * dress * amp)
     return out
@@ -391,9 +382,9 @@ def apply_intertwiner(k, vec):
         m = st.occ[g]
         mp = st.occ[g + 1]
         out.add_term(TensorState(st.perm, _replace(st.occ, g, m + 1)),
-                     co / ctx.qg_half[ia] * ctx.sqrt(m + 1) * ctx.sqrt_qn[ib])
+                     co / ctx.qg_half[ia] * math.sqrt(m + 1) * ctx.sqrt_qn[ib])
         out.add_term(TensorState(st.perm, _replace(st.occ, g + 1, mp + 1)),
-                     -co * ctx.sqrt_qn[ia] * ctx.qg_half[ib] * ctx.sqrt(mp + 1))
+                     -co * ctx.sqrt_qn[ia] * ctx.qg_half[ib] * math.sqrt(mp + 1))
     return out
 
 

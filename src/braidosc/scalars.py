@@ -1,11 +1,11 @@
 """Coefficient domains shared by every other module.
 
 Two scalar backends coexist.  Generic representation labels force numeric
-coefficients (plain floats, or mpmath values when extended precision is
-requested).  When all tensor factors carry the same label the braid matrices
-close over exact Laurent polynomials in a single variable, which below is
-always the combination x = q**(-gamma); in that regime the square-root and
-bare-q factors appearing in intermediate formulas cancel identically.
+coefficients (plain float64).  When all tensor factors carry the same label
+the braid matrices close over exact Laurent polynomials in a single variable,
+which below is always the combination x = q**(-gamma); in that regime the
+square-root and bare-q factors appearing in intermediate formulas cancel
+identically, so the exact backend carries no rounding error at all.
 
 On top of :class:`Laurent` a small rational-function field supports exact
 kernel computations, and :class:`Phase` records the overall prefactor that
@@ -484,35 +484,33 @@ RF_ONE = RationalFunction(L_ONE)
 class Phase:
     """Overall prefactor kept outside emitted matrix entries.
 
-    total value = factor * (q**(-2*c*gamma)) ** exponent.  Homogeneous
-    builds only touch the exponent (one unit per braid generator, minus
-    one per inverse); inhomogeneous builds keep their sector-dependent
-    prefactors inside the matrix and leave the phase trivial, or record a
-    plain numeric factor where a single common one exists.
+    total value = (q**(-2*c*gamma)) ** exponent.  Homogeneous builds carry
+    one unit of exponent per braid generator, minus one per inverse;
+    inhomogeneous builds keep their sector-dependent prefactors inside the
+    matrix and leave the phase trivial.
     """
 
-    exponent: Fraction = Fraction(0)
-    factor: float = 1.0
+    exponent: int = 0
 
     def __mul__(self, other):
         if not isinstance(other, Phase):
             return NotImplemented
-        return Phase(self.exponent + other.exponent, self.factor * other.factor)
+        return Phase(self.exponent + other.exponent)
 
     def is_trivial(self):
-        return self.exponent == 0 and self.factor == 1.0
+        return self.exponent == 0
 
     def value(self, q=None, gamma=None, c=None):
         """Numeric value; q, gamma, c are needed only for a nonzero exponent."""
-        v = self.factor
-        if self.exponent:
-            if q is None or gamma is None or c is None:
-                raise ValueError("phase exponent needs q, gamma, c to evaluate")
-            v = v * (q ** (-2.0 * c * gamma)) ** float(self.exponent)
-        return v
+        if not self.exponent:
+            return 1.0
+        if q is None or gamma is None or c is None:
+            raise ValueError("phase exponent needs q, gamma, c to evaluate")
+        return (q ** (-2.0 * c * gamma)) ** self.exponent
 
     def to_json(self):
-        return {"exponent": str(self.exponent), "factor": repr(float(self.factor))}
+        # "factor" is kept in the wire format; a phase has no numeric factor
+        return {"exponent": str(self.exponent), "factor": "1.0"}
 
 
 def numeric_to_json(value):

@@ -63,7 +63,7 @@ class CheckResult:
     detail: dict | None = None
 
     def to_json(self):
-        out = {"name": self.name, "passed": self.passed}
+        out = {"name": self.name, "passed": bool(self.passed)}
         if self.residual is not None:
             out["residual"] = float(self.residual)
         if self.detail is not None:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidosc.braid import (
     BasisElement,
@@ -33,7 +34,7 @@ from braidosc.oscillator import (
     homogeneous_context,
     marked_context,
 )
-from braidosc.scalars import L_ONE, L_ZERO, Laurent, q_number
+from braidosc.scalars import DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, q_number
 from braidosc.weightspace import weight_basis
 
 
@@ -348,6 +349,41 @@ class TestRoutes:
         with pytest.raises(Exception):
             build_matrices(3, 1, backend="laurent", ctx=mctx3)
 
+    @pytest.mark.parametrize("numeric", [False, True])
+    @pytest.mark.parametrize("n, N", [(1, 1), (0, 0), (3, -1), (3.0, 1), (3, 1.5), (True, 1)])
+    def test_rejects_bad_sizes(self, n, N, numeric):
+        ctx = homogeneous_context(max(int(n), 1), 1.0, 0.5, 0.6) if numeric else None
+        with pytest.raises(ValueError, match="must be"):
+            build_matrices(n, N, ctx=ctx)
+
+
+@st.composite
+def _numeric_contexts(draw):
+    """Homogeneous, one-marked or all-distinct labels, q on either side of 1."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["homogeneous", "marked", "distinct"]))
+    q = draw(st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)))
+    label = st.builds(RepLabel, st.floats(0.5, 2.0), st.floats(0.2, 1.5))
+    if kind == "distinct":
+        labels = [draw(label) for _ in range(n)]
+    else:
+        labels = [draw(label)] * n
+        if kind == "marked":
+            labels[draw(st.integers(0, n - 1))] = draw(label)
+    return Context(labels, q)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(ctx=_numeric_contexts(), N=st.integers(0, 2))
+def test_routes_agree_on_both_sides_of_q_one(ctx, N):
+    for inverse in (False, True):
+        rw = build_matrices(ctx.n, N, route="rewrite", ctx=ctx, inverse=inverse)
+        dr = build_matrices(ctx.n, N, route="direct", ctx=ctx, inverse=inverse)
+        for a, b in zip(rw, dr):
+            assert a.basis == b.basis and a.phase == b.phase
+            scale = np.max(np.abs(a.entries))
+            assert np.max(np.abs(a.entries - b.entries)) <= DEFAULT_TOLS.route_match * scale
+
 
 class TestWords:
     def test_braid_relation_as_words(self):
@@ -380,6 +416,15 @@ class TestWords:
         f = build_matrices(3, 1)
         with pytest.raises(ValueError):
             evaluate_word([0], f, None)
+
+    @pytest.mark.parametrize("letter, with_inverse", [
+        (3, True), (5, False), (-3, True), (-1, False),
+    ])
+    def test_rejects_letter_without_generator(self, letter, with_inverse):
+        f = build_matrices(3, 1)
+        b = build_matrices(3, 1, inverse=True) if with_inverse else None
+        with pytest.raises(ValueError, match="word letter %d " % letter):
+            evaluate_word([1, letter], f, b)
 
 
 class TestPairChange:

@@ -1,9 +1,15 @@
 """Deformed oscillator representations, coproducts, and the intertwiner."""
 
 import math
+import os
+import subprocess
+import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
+
+import braidosc
 
 from braidosc.oscillator import (
     BraidoscError,
@@ -86,11 +92,43 @@ class TestContext:
     def test_distinct_sectors(self, ctx2, ctx3m):
         assert len(ctx2.distinct_sectors()) == 1
         assert len(ctx3m.distinct_sectors()) == 3
+        a, b = RepLabel(1.0, 0.5), RepLabel(1.4, 0.2)
+        pool = [a, b, RepLabel(0.8, 0.9), RepLabel(1.7, 0.3), RepLabel(2.1, 0.6)]
+        for n in range(2, 6):
+            for labels in ([a] * n, [a] * (n - 1) + [b], ([a, b] * n)[:n], pool[:n]):
+                ctx = Context(labels, 0.6)
+                brute = {ctx.canonical_perm(p) for p in permutations(range(n))}
+                assert ctx.distinct_sectors() == sorted(brute)
+        ten = homogeneous_context(10, 1.0, 0.5, 0.6)
+        assert ten.distinct_sectors() == [ten.identity_perm()]
 
-    def test_precision_backend(self):
-        ctx = homogeneous_context(2, 1.0, 0.5, 0.5, precision=60)
-        assert close(float(ctx.qn[0]), 1.0)
-        assert close(float(ctx.qpow(2)), 0.25)
+    @pytest.mark.parametrize("gamma, c", [
+        (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_label_rejects_non_finite(self, gamma, c):
+        with pytest.raises(ValueError, match="finite"):
+            RepLabel(gamma, c)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_context_rejects_non_finite_q(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            homogeneous_context(3, 1.0, 0.5, q)
+
+
+def test_package_leaves_mpmath_unloaded():
+    """Importing the package and building a numeric family touches no
+    extended-precision library (and so no process-wide precision setting)."""
+    code = (
+        "import sys\n"
+        "from braidosc import RepLabel, build_matrices, marked_context\n"
+        "ctx = marked_context(3, RepLabel(1.0, 0.5), RepLabel(1.5, 0.8), 2, 0.6)\n"
+        "build_matrices(3, 2, route='direct', ctx=ctx)\n"
+        "assert 'mpmath' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(braidosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestGenerators:

@@ -169,21 +169,21 @@ class TestRationalFunction:
 
 class TestPhase:
     def test_product_accumulates_exponent(self):
-        p = Phase(Fraction(1)) * Phase(Fraction(1))
+        p = Phase(1) * Phase(1)
         assert p.exponent == 2
 
     def test_value(self):
         q, gamma, c = 0.5, 1.2, 0.7
-        assert close(Phase(Fraction(1)).value(q, gamma, c), q ** (-2 * c * gamma))
-        assert close(Phase(Fraction(-1)).value(q, gamma, c), q ** (2 * c * gamma))
+        assert close(Phase(1).value(q, gamma, c), q ** (-2 * c * gamma))
+        assert close(Phase(-1).value(q, gamma, c), q ** (2 * c * gamma))
 
     def test_trivial(self):
         assert Phase().is_trivial()
-        assert not Phase(Fraction(2)).is_trivial()
+        assert not Phase(2).is_trivial()
 
     def test_json(self):
-        js = Phase(Fraction(-1)).to_json()
-        assert js["exponent"] == "-1"
+        js = Phase(-1).to_json()
+        assert js == {"exponent": "-1", "factor": "1.0"}
 
 
 class TestHelpers:

@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from braidosc import cli
 from braidosc.braid import build_matrices, family_to_json
-from braidosc.verify import SUITES, run_suites, suite_braid
+from braidosc.verify import SUITES, CheckResult, run_suites, suite_braid
 
 
 class TestSuites:
@@ -42,6 +43,10 @@ class TestSuites:
         assert doc["max_residual"] < 1e-9
         names = [c["name"] for c in doc["checks"]]
         assert len(names) == len(set(names))
+
+    def test_check_json_with_numpy_verdict(self):
+        doc = CheckResult("check", np.bool_(True), 0.0).to_json()
+        assert json.loads(json.dumps(doc))["passed"] is True
 
 
 class TestCliMatrix:
@@ -148,6 +153,30 @@ class TestCliVerify:
         assert payload[0]["suite"] == "spaces"
         assert payload[0]["seed"] == 7
         assert payload[0]["passed"] is True
+
+
+class TestCliInvalidInput:
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--n", "1", "--N", "1"],
+        ["matrix", "--n", "1", "--N", "1", "--backend", "laurent"],
+        ["matrix", "--n", "3", "--N", "-1"],
+        ["matrix", "--n", "3", "--N", "1", "--q", "nan"],
+        ["matrix", "--n", "3", "--N", "1", "--q", "inf"],
+        ["matrix", "--n", "3", "--N", "1", "--gamma", "nan"],
+        ["matrix", "--n", "3", "--N", "1", "--het", "--c2", "inf"],
+        ["matrix", "--n", "2", "--N", "1", "--labels", "[[1.0, NaN], [1.0, 0.5]]"],
+        ["matrix", "--n", "3", "--N", "1", "--precision", "60"],
+        ["word", "--n", "3", "--N", "1", "--q", "nan", "--word", "1"],
+    ])
+    def test_exits_two(self, argv, capsys):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err
 
 
 class TestCliWord:
