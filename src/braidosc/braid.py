@@ -54,6 +54,7 @@ from .oscillator import (
     marked_context,
 )
 from .weightspace import (
+    coordinates,
     lowest_weight_monomials,
     monomial_exponents,
     operator_matrix,
@@ -435,12 +436,6 @@ def monomial_basis_elements(n, N, sectors):
     ]
 
 
-def _should_renormalize(ctx, renormalize):
-    if renormalize is not None:
-        return renormalize
-    return ctx is None or ctx.is_homogeneous()
-
-
 def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
     if backend == "laurent":
         sectors = [tuple(range(n))]
@@ -491,48 +486,43 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
 def _matrices_direct(n, N, ctx, inverse, renormalize, formula, binomial, tols):
     sectors = ctx.distinct_sectors()
     basis = monomial_basis_elements(n, N, sectors)
-    index = {el: k for k, el in enumerate(basis)}
-    dim = len(basis)
-    expts = monomial_exponents(n, N)
+    d = len(monomial_exponents(n, N))
+    # per sector: row offset, weight basis, monomial coordinates V, Gram V^T V
     per_sector = {}
-    for sec in sectors:
+    for k, sec in enumerate(sectors):
         lw = lowest_weight_monomials(ctx, N, sec, tols)
-        per_sector[tuple(sec)] = (lw.vectors, np.asarray(lw.gram, dtype=float))
+        states = weight_basis(ctx, N, sec)
+        V = np.array([coordinates(v, states) for v in lw.vectors]).T
+        per_sector[sec] = (k * d, states, V, lw.gram)
     if renormalize:
         la = ctx.labels[0]
         common = float(ctx.qpow(-2 * la.c * la.gamma, inverse))
     mats = []
     for i in range(1, n):
-        entries = np.zeros((dim, dim))
+        entries = np.zeros((len(basis), len(basis)))
         worst = 0.0
         for sec in sectors:
-            vecs, gram = per_sector[tuple(sec)]
-            target = ctx.swapped_perm(sec, i)
-            tvecs, tgram = per_sector[tuple(target)]
-            for p_ix, powers in enumerate(expts):
-                col = index[BasisElement(tuple(sec), powers)]
-                image = apply_braid_generator(
-                    i, vecs[p_ix], inverse=inverse, formula=formula, binomial=binomial
+            c0, states, V, _ = per_sector[sec]
+            r0, tstates, tV, tgram = per_sector[ctx.swapped_perm(sec, i)]
+            S = operator_matrix(
+                lambda v: apply_braid_generator(i, v, inverse=inverse, formula=formula, binomial=binomial),
+                states,
+                tstates,
+            )
+            image = S @ V
+            try:
+                coeffs = np.linalg.solve(tgram, tV.T @ image)
+            except np.linalg.LinAlgError as exc:
+                raise GramSolveError("singular Gram matrix in direct route") from exc
+            resid = np.linalg.norm(image - tV @ coeffs, axis=0) / np.maximum(
+                np.linalg.norm(image, axis=0), 1e-300
+            )
+            worst = max(worst, float(resid.max()))
+            if worst > tols.span_residual:
+                raise GramSolveError(
+                    "braid image leaves the lowest-weight span, residual %.2e" % worst
                 )
-                rhs = np.array([float(tv.inner(image)) for tv in tvecs])
-                try:
-                    coeffs = np.linalg.solve(tgram, rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise GramSolveError("singular Gram matrix in direct route") from exc
-                recon = WeightVector(ctx)
-                for cval, tv in zip(coeffs, tvecs):
-                    recon = recon + float(cval) * tv
-                resid = float((image - recon).norm() / max(image.norm(), 1e-300))
-                worst = max(worst, resid)
-                if resid > tols.span_residual:
-                    raise GramSolveError(
-                        "braid image leaves the lowest-weight span, residual %.2e" % resid
-                    )
-                for row_p, cval in zip(expts, coeffs):
-                    v = float(cval)
-                    if renormalize:
-                        v /= common
-                    entries[index[BasisElement(tuple(target), row_p)], col] = v
+            entries[r0:r0 + d, c0:c0 + d] = coeffs / common if renormalize else coeffs
         phase = Phase(-1 if inverse else 1) if renormalize else Phase()
         mats.append(
             BraidMatrix(
@@ -593,7 +583,7 @@ def build_matrices(
         raise ValueError("numeric backend requires a context")
     if n != ctx.n:
         raise ValueError("n does not match the context")
-    renorm = _should_renormalize(ctx, renormalize)
+    renorm = ctx.is_homogeneous() if renormalize is None else renormalize
     if renorm and not ctx.is_homogeneous():
         raise ValueError("renormalization needs homogeneous labels")
     if route == "rewrite":

@@ -67,19 +67,32 @@ def _build_context(args):
 
 def _build_family(args):
     backend = args.backend or "numeric"
-    if backend == "laurent":
-        if args.het or args.labels:
-            print("laurent backend requires homogeneous labels", file=sys.stderr)
-            raise SystemExit(2)
-        return build_matrices(
-            args.n, args.N, route=getattr(args, "route", "rewrite"), backend="laurent",
-            inverse=args.inverse,
-        )
-    ctx = _build_context(args)
+    if backend == "laurent" and (args.het or args.labels):
+        print("laurent backend requires homogeneous labels", file=sys.stderr)
+        raise SystemExit(2)
     return build_matrices(
-        args.n, args.N, route=getattr(args, "route", "rewrite"), ctx=ctx,
+        args.n, args.N, route=getattr(args, "route", "rewrite"), backend=backend,
+        ctx=_build_context(args) if backend == "numeric" else None,
         inverse=args.inverse, binomial=getattr(args, "binomial", "series"),
     )
+
+
+def _json_text(obj, pad="\n"):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for str
+    keys, built by joining strings: json's indented encoder is pure Python
+    and cost more than the build on a matrix export.  Lists of strings (matrix
+    rows, Laurent terms) are encoded in C."""
+    inner, _encode_str = pad + "  ", json.encoder.encode_basestring_ascii
+    if isinstance(obj, dict):
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    try:
+        items = list(map(_encode_str, obj))
+    except TypeError:
+        items = [_json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
 def _emit(text, path):
@@ -96,11 +109,8 @@ def cmd_matrix(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except BraidoscError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     if args.format == "json":
-        _emit(json.dumps(family_to_json(mats), indent=2, sort_keys=True) + "\n", args.output)
+        _emit(_json_text(family_to_json(mats)) + "\n", args.output)
         return 0
     # csv: one block per generator, decimal entries
     if mats[0].backend != "numeric":
@@ -124,7 +134,7 @@ def cmd_dims(args):
     total, parts = counts(n, N)
     if args.format == "json":
         payload = {"n": n, "N": N, "weight_dim": total, "lowest_dims": parts}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _emit(_json_text(payload) + "\n", args.output)
         return 0
     lines = ["n=%d N=%d" % (n, N), "level lowest_dim"]
     for j, d in enumerate(parts):
@@ -173,14 +183,9 @@ def cmd_word(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except BraidoscError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     total, phase = evaluate_word(letters, fwd, inv)
-    if isinstance(total, np.ndarray):
-        entries = [[repr(float(v)) for v in row] for row in total]
-    else:
-        entries = [[e.to_json() for e in row] for row in total]
+    numeric = isinstance(total, np.ndarray)
+    entries = [[repr(float(v)) if numeric else v.to_json() for v in row] for row in total]
     payload = {
         "word": letters,
         "n": args.n,
@@ -189,7 +194,7 @@ def cmd_word(args):
         "phase": phase.to_json(),
         "entries": entries,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _emit(_json_text(payload) + "\n", args.output)
     return 0
 
 

@@ -514,5 +514,11 @@ class Phase:
 
 
 def numeric_to_json(value):
-    """Decimal-string form of a numeric scalar, round-trip safe for floats."""
-    return repr(float(value))
+    """Decimal-string form of a numeric scalar, round-trip safe for floats.
+
+    Every +0.0 shares one string: most entries of many-sector families are 0.
+    """
+    value = float(value)
+    if value == 0.0 and math.copysign(1.0, value) > 0:
+        return "0.0"
+    return repr(value)

@@ -118,6 +118,11 @@ def coordinates(vec, basis):
     return out
 
 
+def _coordinate_matrix(vectors, basis):
+    """Coordinates of the vectors as the columns of a len(basis) x len(vectors) array."""
+    return np.array([coordinates(v, basis) for v in vectors]).reshape(len(vectors), len(basis)).T
+
+
 def from_coordinates(ctx, coords, basis):
     states = basis.states if isinstance(basis, WeightSpaceBasis) else basis
     vec = WeightVector(ctx)
@@ -211,27 +216,21 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     """
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     expts = monomial_exponents(ctx.n, N)
-    vectors = []
-    residuals = []
-    for powers in expts:
-        vec = monomial_vector(ctx, powers, sector)
-        low = apply_coproduct("a-", vec)
-        res = float(low.norm() / vec.norm())
+    vectors = [monomial_vector(ctx, powers, sector) for powers in expts]
+    V = _coordinate_matrix(vectors, weight_basis(ctx, N, sector))
+    # the vacuum has no lower level to map to
+    low = lowering_matrix(ctx, N, sector)[0] @ V if N else np.zeros((0, len(vectors)))
+    residuals = np.linalg.norm(low, axis=0) / np.linalg.norm(V, axis=0)
+    for powers, res in zip(expts, residuals):
         if res > tols.kernel_residual:
             raise BraidoscError(
                 "monomial %r not annihilated by lowering, residual %.2e" % (powers, res)
             )
-        vectors.append(vec)
-        residuals.append(res)
-    d = len(vectors)
-    gram = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            gram[i, j] = gram[j, i] = float(vectors[i].inner(vectors[j]))
-    eigs = np.linalg.eigvalsh(gram) if d else np.array([])
-    if d and eigs[0] <= tols.sv_cutoff * max(eigs[-1], 1.0):
+    gram = V.T @ V
+    eigs = np.linalg.eigvalsh(gram)
+    if len(eigs) and eigs[0] <= tols.sv_cutoff * max(eigs[-1], 1.0):
         raise BraidoscError("monomial Gram matrix is numerically singular")
-    return LowestWeightBasis(ctx, N, sector, vectors, gram, expts, residuals)
+    return LowestWeightBasis(ctx, N, sector, vectors, gram, expts, residuals.tolist())
 
 
 def span_residual(vectors, others):
@@ -242,9 +241,9 @@ def span_residual(vectors, others):
         {st for v in list(vectors) + list(others) for st in v.terms},
         key=lambda s: (s.perm, s.occ),
     )
-    V = np.array([coordinates(v, states) for v in vectors]).T
-    W = np.array([coordinates(w, states) for w in others]).T
-    Q, _ = np.linalg.qr(W)
+    V = _coordinate_matrix(vectors, states)
+    W = _coordinate_matrix(others, states)
+    Q = np.linalg.svd(W, full_matrices=False)[0]
     defect = V - Q @ (Q.T @ V)
     return float(
         max(
@@ -300,43 +299,39 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
     dom = weight_basis(ctx, N, sector)
     qn_total = q_number(ctx.gamma_total(), ctx.q)
     c_tot = ctx.c_total()
+    levels = [weight_basis(ctx, j, sector) for j in range(N)] + [dom]
+    raising = [
+        operator_matrix(lambda v: apply_coproduct("a+", v), levels[j], levels[j + 1])
+        for j in range(N)
+    ]
+    C = operator_matrix(apply_casimir, dom, dom)
 
     blocks = []
-    block_dims = []
     expected_dims = []
     worst = 0.0
     for j in range(N + 1):
         lw = lowest_weight_monomials(ctx, j, sector, tols)
-        level = []
-        for vec in lw.vectors:
-            for _ in range(N - j):
-                vec = apply_coproduct("a+", vec)
-            lam = qn_total * (c_tot + j)
-            resid = (apply_casimir(vec) - lam * vec).norm() / vec.norm()
-            worst = max(worst, float(resid))
-            level.append(vec)
-        blocks.append(level)
-        block_dims.append(len(level))
+        U = _coordinate_matrix(lw.vectors, levels[j])
+        for R in raising[j:]:
+            U = R @ U
+        lam = qn_total * (c_tot + j)
+        resid = np.linalg.norm(C @ U - lam * U, axis=0) / np.linalg.norm(U, axis=0)
+        worst = max(worst, float(resid.max()))
+        blocks.append(U)
         expected_dims.append(lowest_weight_dimension(ctx.n, j))
+    block_dims = [U.shape[1] for U in blocks]
 
-    all_vecs = [v for level in blocks for v in level]
-    V = np.array([coordinates(v, dom) for v in all_vecs]).T
+    V = np.hstack(blocks)
     svals = np.linalg.svd(V, compute_uv=False)
     cut = tols.sv_cutoff * (svals[0] if len(svals) else 1.0)
     rank = int(np.sum(svals > cut))
 
     # off-block overlaps, normalized; reported but not asserted
-    off = 0.0
-    cols = [V[:, i] / np.linalg.norm(V[:, i]) for i in range(V.shape[1])]
-    starts = np.cumsum([0] + block_dims)
-    for a in range(N + 1):
-        for b in range(a + 1, N + 1):
-            for i in range(starts[a], starts[a + 1]):
-                for k in range(starts[b], starts[b + 1]):
-                    off = max(off, abs(float(cols[i] @ cols[k])))
+    cols = V / np.linalg.norm(V, axis=0)
+    level = np.repeat(np.arange(N + 1), block_dims)
+    off = np.abs(cols.T @ cols)[level[:, None] != level[None, :]].max(initial=0.0)
 
     # eigenvalue multiplicities of the Casimir on the weight space
-    C = operator_matrix(apply_casimir, dom, dom)
     eigs = np.linalg.eigvalsh((C + C.T) / 2)
     mult = {}
     for lam in eigs:

@@ -30,6 +30,23 @@ def small_laurent():
     )
 
 
+def fraction_laurent():
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.dictionaries(st.integers(-4, 4), coeff, max_size=5).map(Laurent)
+
+
+def _to_sympy(sp, poly):
+    x = sp.Symbol("x")
+    return sum(
+        (sp.Rational(c.numerator, c.denominator) * x ** e for e, c in poly.terms.items()),
+        sp.Integer(0),
+    )
+
+
+def _same(sp, poly, expr):
+    return sp.expand(_to_sympy(sp, poly) - expr) == 0
+
+
 class TestQNumber:
     def test_unit_gamma_is_one(self):
         assert close(q_number(1.0, 0.37), 1.0)
@@ -165,6 +182,67 @@ class TestRationalFunction:
     def test_evaluates_numerically(self):
         f = RationalFunction(X ** 2 - L_ONE, X - L_ONE)
         assert close(f(0.4), 1.4)
+
+
+class TestSympyOracle:
+    """Laurent and rational-function arithmetic checked against sympy."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fraction_laurent(),
+        fraction_laurent(),
+        st.fractions(-4, 4, max_denominator=9).filter(lambda v: abs(v) >= Fraction(1, 4)),
+    )
+    def test_laurent_operations(self, a, b, x0):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        A, B = _to_sympy(sp, a), _to_sympy(sp, b)
+        assert _same(sp, a + b, A + B)
+        assert _same(sp, a - b, A - B)
+        assert _same(sp, a * b, A * B)
+        for k in range(4):
+            assert _same(sp, a ** k, A ** k)
+        if a.is_monomial():
+            assert _same(sp, a ** -3, A ** -3)
+        assert _same(sp, a.substitute_inverse(), A.subs(x, 1 / x))
+        exact = A.subs(x, sp.Rational(x0.numerator, x0.denominator))
+        scale = sum(abs(c) * abs(x0) ** e for e, c in a.terms.items())
+        assert abs(a(x0) - float(exact)) <= 1e-14 * float(scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(fraction_laurent(), fraction_laurent().filter(bool), fraction_laurent())
+    def test_laurent_divmod(self, a, b, c):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        q, r = laurent_divmod(a, b)
+        assert q * b + r == a
+        if a:
+            # ordinary division of the x-shifted representatives
+            sa, sb = a.min_exp(), b.min_exp()
+            A = sp.expand(_to_sympy(sp, a) * x ** -sa)
+            B = sp.expand(_to_sympy(sp, b) * x ** -sb)
+            quo, rem = sp.div(A, B, x)
+            assert _same(sp, q, x ** (sa - sb) * quo)
+            assert _same(sp, r, x ** sa * rem)
+        assert laurent_divmod(b * c, b) == (c, L_ZERO)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fraction_laurent(),
+        fraction_laurent().filter(bool),
+        fraction_laurent(),
+        fraction_laurent().filter(bool),
+        st.booleans(),
+    )
+    def test_rational_equality_matches_cancel(self, a, b, c, e, scaled):
+        sp = pytest.importorskip("sympy")
+        f = RationalFunction(a, b)
+        g = RationalFunction(a * e, b * e) if scaled else RationalFunction(c, b)
+        F = _to_sympy(sp, a) / _to_sympy(sp, b)
+        G = _to_sympy(sp, a * e) / _to_sympy(sp, b * e) if scaled else _to_sympy(sp, c) / _to_sympy(sp, b)
+        assert (f == g) == (sp.cancel(F - G) == 0)
+        if scaled:
+            assert f == g
 
 
 class TestPhase:

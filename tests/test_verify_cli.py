@@ -74,6 +74,16 @@ class TestCliMatrix:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("payload", [
+        {}, [], "x", 3, None, [[], {}], [["a", 1], ("b", "c")],
+        {"b": [1, 2.5, None, True, "sé\"\\"], "a": {"z": -0.0, "y": float("inf")}},
+        family_to_json(build_matrices(3, 2)),
+        family_to_json(build_matrices(3, 2, route="direct", ctx=cli._build_context(
+            cli.build_parser().parse_args(["matrix", "--n", "3", "--N", "2", "--het"])))),
+    ])
+    def test_json_text_matches_indented_dumps(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
     def test_level_zero_single_state(self, capsys):
         assert cli.main(["matrix", "--n", "3", "--N", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)

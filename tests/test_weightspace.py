@@ -1,16 +1,19 @@
 """Weight spaces, lowest-weight kernels, counting laws, exact nullspaces."""
 
+import math
+
 import numpy as np
 import pytest
 
 from braidosc.oscillator import (
+    BraidoscError,
     Context,
     RepLabel,
     apply_coproduct,
     homogeneous_context,
     marked_context,
 )
-from braidosc.scalars import DEFAULT_TOLS, close
+from braidosc.scalars import DEFAULT_TOLS, Tolerances, close
 from braidosc.weightspace import (
     DimensionMismatchError,
     compositions,
@@ -144,6 +147,14 @@ class TestMonomialBasis:
     def test_monomial_count(self, hctx3):
         assert len(lowest_weight_monomials(hctx3, 3).vectors) == 4
 
+    @pytest.mark.parametrize("tols, match", [
+        (Tolerances(kernel_residual=-1.0), "not annihilated"),
+        (Tolerances(sv_cutoff=1.0), "numerically singular"),
+    ])
+    def test_rejects_failed_checks(self, mctx3, tols, match):
+        with pytest.raises(BraidoscError, match=match):
+            lowest_weight_monomials(mctx3, 2, None, tols)
+
 
 class TestDecomposition:
     def test_three_slots_level_three(self, hctx3):
@@ -160,6 +171,14 @@ class TestDecomposition:
         rep = verify_decomposition(mctx3, 2, None, DEFAULT_TOLS)
         assert rep.passed
         assert rep.block_dims == [1, 2, 3]
+
+    def test_marked_four_slots_level_three(self):
+        ctx = marked_context(4, RepLabel(1.0, 0.4), RepLabel(1.7, 1.2), 2, 0.55)
+        rep = verify_decomposition(ctx, 3, None, DEFAULT_TOLS)
+        assert rep.passed
+        assert rep.block_dims == rep.expected_block_dims == [1, 3, 6, 10]
+        assert rep.rank == rep.weight_dim == 20
+        assert [rep.eigen_multiplicities.get(j, 0) for j in range(4)] == [1, 3, 6, 10]
 
 
 class TestExactKernel:
@@ -181,6 +200,23 @@ class TestExactKernel:
             for N in range(4):
                 ek = lowest_weight_kernel_exact(n, N)
                 assert len(ek.vectors) == lowest_weight_dimension(n, N)
+
+    @pytest.mark.parametrize("n, N", [(3, 2), (4, 2)])
+    def test_sympy_annihilation_and_rank(self, n, N):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+
+        def expr(poly):
+            return sum(
+                (sp.Rational(c.numerator, c.denominator) * x ** e for e, c in poly.terms.items()),
+                sp.Integer(0),
+            )
+
+        ek = lowest_weight_kernel_exact(n, N)
+        A = sp.Matrix([[expr(e) for e in row] for row in ek.matrix])
+        K = sp.Matrix([[expr(e) for e in vec] for vec in ek.vectors]).T
+        assert (A * K).expand() == sp.zeros(A.rows, K.cols)
+        assert K.rank() == lowest_weight_dimension(n, N) == math.comb(n + N - 2, n - 2)
 
     def test_kernel_matches_numeric_span(self):
         # exact coordinates, evaluated at a numeric point, land in the
