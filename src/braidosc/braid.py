@@ -940,87 +940,137 @@ def pair_basis_change(n, s):
 
 
 # ---------------------------------------------------------------------------
-# matrix algebra helpers, relations, words
+# exact matrix algebra, relations, words
+
+class _ExactMatrix:
+    """Integer Laurent matrix as canonical sorted triplets.
+
+    ``k``, ``r``, ``c`` and ``v`` are int64 arrays of exponent, row,
+    column and nonzero coefficient of each term, ordered by (k, r, c)
+    with no duplicates, so equal matrices have equal arrays.
+    """
+
+    __slots__ = ("shape", "k", "r", "c", "v")
+
+    def __init__(self, shape, k, r, c, v):
+        self.shape = shape
+        if len(v):
+            # canonical order: sort on one integer key, sum equal keys, drop zeros
+            rows, cols = shape
+            kmin = int(k.min())
+            key = ((k - kmin) * rows + r) * cols + c
+            order = np.argsort(key, kind="stable")
+            key, v = key[order], v[order]
+            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, v = key[first], np.add.reduceat(v, first)
+            keep = v != 0
+            key, v = key[keep], v[keep]
+            rc, c = np.divmod(key, cols)
+            k, r = np.divmod(rc, rows)
+            k = k + kmin
+        self.k, self.r, self.c, self.v = k, r, c, v
+
+    @classmethod
+    def from_laurent(cls, entries):
+        """Nested lists of Laurent entries; integer coefficients only."""
+        nonzero = [
+            (r, c, lp.terms) for r, row in enumerate(entries) for c, lp in enumerate(row) if lp.terms
+        ]
+        terms = [(e, r, c, v) for r, c, t in nonzero for e, v in t.items()]
+        if any(t[3].denominator != 1 for t in terms):
+            raise ValueError("exact matrix algebra needs integer Laurent coefficients")
+        arr = np.array([(e, r, c, v.numerator) for e, r, c, v in terms], np.int64).reshape(-1, 4)
+        shape = (len(entries), len(entries[0]) if entries else 0)
+        return cls(shape, *arr.T.copy())
+
+    @classmethod
+    def identity(cls, d):
+        idx = np.arange(d, dtype=np.int64)
+        return cls((d, d), np.zeros(d, np.int64), idx, idx, np.ones(d, np.int64))
+
+    def __matmul__(self, other):
+        (rows, inner), (inner_b, cols) = self.shape, other.shape
+        if inner != inner_b:
+            raise ValueError("shape mismatch %r @ %r" % (self.shape, other.shape))
+        # every output coefficient is a sum of products bounded by this
+        bound = sum(map(abs, self.v.tolist())) * max(map(abs, other.v.tolist()), default=0)
+        if bound >= 2 ** 63:
+            raise OverflowError("exact matrix product could exceed int64 coefficients")
+        # join self's columns with other's rows
+        order = np.argsort(other.r, kind="stable")
+        lo = np.searchsorted(other.r[order], self.c, "left")
+        hi = np.searchsorted(other.r[order], self.c, "right")
+        count = hi - lo
+        ia = np.repeat(np.arange(len(self.v)), count)
+        start = np.repeat(lo - (np.cumsum(count) - count), count)
+        ib = order[start + np.arange(len(ia))]
+        return _ExactMatrix(
+            (rows, cols),
+            self.k[ia] + other.k[ib],
+            self.r[ia],
+            other.c[ib],
+            self.v[ia] * other.v[ib],
+        )
+
+    def __eq__(self, other):
+        mine, theirs = (self.k, self.r, self.c, self.v), (other.k, other.r, other.c, other.v)
+        return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
+
+    def at(self, x0):
+        """Dense float values at x = x0."""
+        rows, cols = self.shape
+        vals = self.v * float(x0) ** self.k.astype(float)
+        return np.bincount(self.r * cols + self.c, vals, rows * cols).reshape(rows, cols)
+
+    def to_laurent(self):
+        rows, cols = self.shape
+        terms = {}
+        for k, r, c, v in zip(self.k.tolist(), self.r.tolist(), self.c.tolist(), self.v.tolist()):
+            terms.setdefault((r, c), {})[k] = v
+        out = [[L_ZERO] * cols for _ in range(rows)]
+        for (r, c), t in terms.items():
+            out[r][c] = Laurent(t)
+        return out
+
+
+def _operand(entries):
+    """Float arrays as they are, Laurent lists as an exact matrix."""
+    return entries if isinstance(entries, np.ndarray) else _ExactMatrix.from_laurent(entries)
+
 
 def lmat_mul(A, B):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0])
-    out = [[L_ZERO] * cols for _ in range(rows)]
-    for r in range(rows):
-        Ar = A[r]
-        for k in range(inner):
-            a = Ar[k]
-            if not a:
-                continue
-            Bk = B[k]
-            Or = out[r]
-            for c in range(cols):
-                b = Bk[c]
-                if b:
-                    Or[c] = Or[c] + a * b
-    return out
+    return (_ExactMatrix.from_laurent(A) @ _ExactMatrix.from_laurent(B)).to_laurent()
 
 
 def lmat_eq(A, B):
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        for a, b in zip(ra, rb):
-            if a != b:
-                return False
-    return True
-
-
-def lmat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def lmat_max_abs_at(A, x0):
-    """Largest absolute numeric value of Laurent entries at x = x0."""
-    worst = 0.0
-    for row in A:
-        for e in row:
-            worst = max(worst, abs(e(x0)))
-    return worst
-
-
-def _mul(A, B):
-    if isinstance(A, np.ndarray):
-        return A @ B
-    return lmat_mul(A, B)
+    return A == B
 
 
 def braid_relation_defect(mats):
     """Worst braid/far-commutation defect for a generator family.
 
     For numeric families returns the largest relative residual; for
-    Laurent families returns 0.0 on exact equality and a sampled numeric
-    magnitude of the difference otherwise.
+    Laurent families returns 0.0 on exact equality and otherwise the
+    largest absolute difference of the two sides at x = 0.7.
     """
-    by_gen = {m.generator: m.entries for m in mats}
+    by_gen = {m.generator: _operand(m.entries) for m in mats}
     n = mats[0].n
     worst = 0.0
-    exact = all(not isinstance(m.entries, np.ndarray) for m in mats)
     for i in range(1, n - 1):
         A, B = by_gen[i], by_gen[i + 1]
-        lhs = _mul(_mul(A, B), A)
-        rhs = _mul(_mul(B, A), B)
-        worst = max(worst, _defect(lhs, rhs, exact))
+        worst = max(worst, _defect(A @ B @ A, B @ A @ B))
     for i in range(1, n):
         for j in range(i + 2, n):
             A, B = by_gen[i], by_gen[j]
-            worst = max(worst, _defect(_mul(A, B), _mul(B, A), exact))
+            worst = max(worst, _defect(A @ B, B @ A))
     return worst
 
 
-def _defect(lhs, rhs, exact):
-    if exact:
-        if lmat_eq(lhs, rhs):
+def _defect(lhs, rhs):
+    if isinstance(lhs, _ExactMatrix):
+        if lhs == rhs:
             return 0.0
-        return lmat_max_abs_at(lmat_sub(lhs, rhs), 0.7)
+        return float(np.max(np.abs(lhs.at(0.7) - rhs.at(0.7))))
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
@@ -1031,16 +1081,13 @@ def inverse_defect(fwd, inv):
     for mf, mi in zip(fwd, inv):
         if mf.generator != mi.generator:
             raise ValueError("mismatched generator lists")
-        prod = _mul(mf.entries, mi.entries)
-        phase = mf.phase * mi.phase
-        if phase.exponent != 0:
+        if (mf.phase * mi.phase).exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
+        prod = _operand(mf.entries) @ _operand(mi.entries)
         if isinstance(prod, np.ndarray):
             d = float(np.max(np.abs(prod - np.eye(prod.shape[0]))))
         else:
-            d = 0.0 if lmat_eq(prod, _laurent_identity(len(prod))) else lmat_max_abs_at(
-                lmat_sub(prod, _laurent_identity(len(prod))), 0.7
-            )
+            d = _defect(prod, _ExactMatrix.identity(prod.shape[0]))
         worst = max(worst, d)
     return worst
 
@@ -1054,6 +1101,7 @@ def evaluate_word(word, forward, inverse):
     """
     by_gen_f = {m.generator: m for m in forward}
     by_gen_i = {m.generator: m for m in inverse} if inverse else {}
+    operands = {}
     total = None
     phase = Phase()
     for letter in word:
@@ -1063,8 +1111,12 @@ def evaluate_word(word, forward, inverse):
                 "word letter %r names no generator: letters are nonzero, |letter| <= %d, "
                 "and negative letters need the inverse family" % (letter, len(forward))
             )
-        total = mat.entries if total is None else _mul(mat.entries, total)
+        if letter not in operands:
+            operands[letter] = _operand(mat.entries)
+        total = operands[letter] if total is None else operands[letter] @ total
         phase = mat.phase * phase
+    if isinstance(total, _ExactMatrix):
+        return total.to_laurent(), phase
     if total is None:
         dim = forward[0].dimension
         total = (

@@ -1,6 +1,8 @@
 """Braid generator matrices: tensor action, rewriting, closed forms, words."""
 
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from braidosc.braid import (
     inverse_defect,
     lmat_eq,
     lmat_mul,
-    lmat_sub,
     pair_basis_change,
     reduced_burau_reference,
     sigma_weight_matrix,
@@ -29,6 +30,7 @@ from braidosc.braid import (
     apply_braid_generator,
 )
 from braidosc.oscillator import (
+    BraidoscError,
     Context,
     RepLabel,
     basis_state,
@@ -306,6 +308,119 @@ class TestRelations:
         C = fam[3].entries
         assert lmat_eq(lmat_mul(A, C), lmat_mul(C, A))
 
+    @pytest.mark.parametrize("n, N", [(4, 2), (5, 3)])
+    def test_perturbed_exact_family_defects(self, n, N):
+        f = build_matrices(n, N)
+        b = build_matrices(n, N, inverse=True)
+        f[1].entries[0][0] = f[1].entries[0][0] + Laurent.x(3)
+        at = {m.generator: _at(m.entries, 0.7) for m in f}
+        want = 0.0
+        for i in range(1, n - 1):
+            A, B = at[i], at[i + 1]
+            want = max(want, np.max(np.abs(A @ B @ A - B @ A @ B)))
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                A, B = at[i], at[j]
+                want = max(want, np.max(np.abs(A @ B - B @ A)))
+        got = braid_relation_defect(f)
+        assert want > 0.0 and got == pytest.approx(want, rel=1e-12)
+        want = max(
+            np.max(np.abs(at[m.generator] @ _at(m.entries, 0.7) - np.eye(m.dimension)))
+            for m in b
+        )
+        got = inverse_defect(f, b)
+        assert want > 0.0 and got == pytest.approx(want, rel=1e-12)
+
+    def test_inverse_defect_rejects_bad_pairs(self):
+        f = build_matrices(4, 2)
+        b = build_matrices(4, 2, inverse=True)
+        with pytest.raises(BraidoscError, match="phases fail to cancel"):
+            inverse_defect(f, f)
+        with pytest.raises(ValueError, match="mismatched generator lists"):
+            inverse_defect(f, b[::-1])
+
+
+def _at(entries, x0):
+    """Laurent entries evaluated one by one at x = x0."""
+    return np.array([[e(x0) for e in row] for row in entries])
+
+
+def _naive_lmat_mul(A, B):
+    """Triple-loop Laurent product: the reference for lmat_mul."""
+    return [
+        [sum((A[r][k] * B[k][c] for k in range(len(B))), L_ZERO) for c in range(len(B[0]))]
+        for r in range(len(A))
+    ]
+
+
+@st.composite
+def _laurent_matrix_pair(draw):
+    """Two d x d integer Laurent matrices, many entries zero.
+
+    For even d, about half the pairs are A = [M | -M], B = [P ; P]: every
+    term of A B cancels and the product is the zero matrix.
+    """
+    d = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(L_ZERO),
+        st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(Laurent),
+    )
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    if d % 2 == 0 and draw(st.booleans()):
+        M, P = matrix(d, d // 2), matrix(d // 2, d)
+        return [row + [-e for e in row] for row in M], P + P
+    return matrix(d, d), matrix(d, d)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(pair=_laurent_matrix_pair(), same=st.booleans())
+def test_exact_algebra_matches_naive_product(pair, same):
+    A, B = pair
+    if same:
+        B = A
+    AB = lmat_mul(A, B)
+    assert lmat_eq(AB, _naive_lmat_mul(A, B))
+    assert lmat_eq(AB, lmat_mul(B, A)) == lmat_eq(AB, _naive_lmat_mul(B, A))
+    # a two-generator family: one braid relation, 0.0 exactly when it holds
+    family = [SimpleNamespace(generator=g, n=3, entries=m) for g, m in ((1, A), (2, B))]
+    lhs = _naive_lmat_mul(_naive_lmat_mul(A, B), A)
+    rhs = _naive_lmat_mul(_naive_lmat_mul(B, A), B)
+    defect = braid_relation_defect(family)
+    if lmat_eq(lhs, rhs):
+        assert defect == 0.0
+    else:
+        assert defect == pytest.approx(np.max(np.abs(_at(lhs, 0.7) - _at(rhs, 0.7))), rel=1e-12)
+
+
+def test_exact_algebra_cancels_across_exponents():
+    # x * x**2 from one pair and 1 * (-x**3) from the other
+    A = [[Laurent.x(1), L_ONE]]
+    B = [[Laurent.x(2)], [Laurent.x(3, -1)]]
+    assert lmat_eq(lmat_mul(A, B), [[L_ZERO]])
+
+
+def test_exact_algebra_rejects_bad_input():
+    half = [[Laurent.x(0, Fraction(1, 2))]]
+    with pytest.raises(ValueError, match="integer Laurent coefficients"):
+        lmat_mul(half, [[L_ONE]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        lmat_mul([[L_ONE, L_ONE]], [[L_ONE, L_ONE]])
+    family = [SimpleNamespace(generator=g, n=3, entries=half) for g in (1, 2)]
+    with pytest.raises(ValueError, match="integer Laurent coefficients"):
+        braid_relation_defect(family)
+
+
+def test_exact_algebra_overflow_guard():
+    big = [[Laurent.x(1, 2 ** 40), L_ZERO], [L_ZERO, L_ONE]]
+    with pytest.raises(OverflowError):
+        lmat_mul(big, big)
+    # just below the int64 bound the product is still exact
+    edge = [[Laurent.x(1, 2 ** 31)]]
+    assert lmat_eq(lmat_mul(edge, edge), [[Laurent.x(2, 2 ** 62)]])
+
 
 class TestRoutes:
     def test_rewrite_vs_direct(self, hctx3, mctx3):
@@ -419,6 +534,23 @@ def test_routes_agree_on_both_sides_of_q_one(ctx, N):
         assert a.basis == b.basis and a.phase == b.phase
         scale = np.max(np.abs(a.entries))
         assert np.max(np.abs(a.entries - b.entries)) <= DEFAULT_TOLS.route_match * scale
+
+
+def test_numeric_rewrite_matches_exact_family():
+    """The homogeneous numeric rewrite is the exact family at x = q**-gamma."""
+    gamma, c = 1.3, 0.7
+    for n in range(2, 6):
+        for N in range(4):
+            for inverse in (False, True):
+                exact = build_matrices(n, N, inverse=inverse)
+                for q in (0.3, 0.7, 1.4, 3.0):
+                    ctx = homogeneous_context(n, gamma, c, q)
+                    numeric = build_matrices(n, N, ctx=ctx, inverse=inverse)
+                    for a, b in zip(numeric, exact):
+                        assert a.basis == b.basis and a.phase == b.phase
+                        want = _at(b.entries, q ** -gamma)
+                        err = np.max(np.abs(a.entries - want)) / np.max(np.abs(want))
+                        assert err <= DEFAULT_TOLS.route_match, (n, N, q, inverse)
 
 
 class TestWords:
