@@ -9,8 +9,12 @@ matrices, computed here by two deliberately independent routes:
   two-slot transition formula, and re-express the image through a Gram
   solve (numeric backend only);
 * ``rewrite``: commute the generator through intertwiner monomials with
-  the exchange relations and read coefficients off directly (numeric or
-  exact Laurent backend).
+  the exchange relations.  Each O_{i-1} or O_{i+1} factor is either kept
+  or turned into O_i, and all paths that keep the same numbers a and b
+  carry one scalar, so the image of O**p is a closed double sum over
+  (a, b) with multiplicity C(p_{i-1}, a) C(p_{i+1}, b); one enumeration
+  feeds the numeric backend and the exact Laurent backend, where the
+  exchange factors are signs and powers of x.
 
 Closed-form families (reduced Burau for level 1, a Lawrence-Krammer-Bigelow
 style family for level 2, and the one-marked-slot level-1 family) are
@@ -254,133 +258,41 @@ class BasisElement:
         return {"sector": list(self.sector), "powers": list(self.powers)}
 
 
-class _NumericRewrite:
-    """Scalar factors of the exchange relations, numeric backend."""
+def _rewrite_images(i, powers):
+    """Push braid generator i through the intertwiner monomial O**powers.
 
-    def __init__(self, ctx, inverse):
-        self.ctx = ctx
-        self.inverse = inverse
-        self.one = 1.0
-
-    def n(self):
-        return self.ctx.n
-
-    def swap(self, sector, i):
-        return self.ctx.swapped_perm(sector, i)
-
-    def x(self, rep):
-        # eigenvalue of q**(-Gamma) on the given label
-        return self.ctx.qpow(-self.ctx.labels[rep].gamma, self.inverse)
-
-    def g(self, rep):
-        # [Gamma]^(1/2); invariant under q -> 1/q
-        return self.ctx.sqrt_qn[rep]
-
-    def base(self, ra, rb):
-        la = self.ctx.labels[ra]
-        lb = self.ctx.labels[rb]
-        return self.ctx.qpow(-(la.c * lb.gamma + lb.c * la.gamma), self.inverse)
-
-
-class _LaurentRewrite:
-    """Exchange-relation factors over exact Laurent scalars (homogeneous).
-
-    All [Gamma]^(1/2) ratios collapse to 1 and q**(-Gamma) becomes the
-    formal variable x (or 1/x for the inverse generator); the vacuum
-    factor is a unit of global phase per generator instead of a scalar.
+    Every path through the exchange relations that keeps a of the O_{i-1}
+    and b of the O_{i+1} factors, turning the others into O_i, carries the
+    same scalar, so the image is a double sum over (a, b).  Yields each
+    image monomial's powers, the counts of the five exchange factors (O_i,
+    O_{i-1} kept, O_{i-1} turned, O_{i+1} kept, O_{i+1} turned) and the
+    integer multiplicity C(p_{i-1}, a) C(p_{i+1}, b).
     """
-
-    def __init__(self, n, inverse):
-        self._n = n
-        self.inverse = inverse
-        self.one = L_ONE
-        self._x = Laurent.x(-1) if inverse else Laurent.x(1)
-
-    def n(self):
-        return self._n
-
-    def swap(self, sector, i):
-        return sector
-
-    def x(self, rep):
-        return self._x
-
-    def g(self, rep):
-        return L_ONE
-
-    def base(self, ra, rb):
-        return None
+    p = (0, *powers, 0)  # p[k] is the power of O_k, with absent O_0 and O_n
+    left, mid, right = p[i - 1], p[i], p[i + 1]
+    for a in range(left + 1):
+        for b in range(right + 1):
+            image = (*p[:i - 1], a, mid + left - a + right - b, b, *p[i + 2:])
+            counts = (mid, a, left - a, b, right - b)
+            yield image[1:-1], counts, math.comb(left, a) * math.comb(right, b)
 
 
-def rewrite_generator(cf, i, elem):
-    """Push braid generator i through one monomial basis element.
+def _exchange_factors(ctx, new_sector, i, inverse):
+    """The five exchange factors of generator i on the swapped sector.
 
-    Returns (dict BasisElement -> coefficient, base factor).  The scalar
-    factors of the exchange relations are evaluated against the sector
-    after the label swap, which is where they act once the generator has
-    been moved all the way to the vacuum; the vacuum step contributes the
-    base factor (None in the exact backend, where it is phase-tracked).
+    With x_k = q**(-gamma_k) (q -> 1/q for the inverse) and
+    g_k = [gamma_k]**(1/2) on slot k of ``new_sector``, in the count order
+    of _rewrite_images.
     """
-    n = cf.n()
-    sector = elem.sector
-    powers = elem.powers
-    g0 = i - 1
-    new_sector = cf.swap(sector, i)
-    xi = cf.x(new_sector[g0])
-    xi1 = cf.x(new_sector[g0 + 1])
-    branches = {(0,) * (n - 1): cf.one}
-
-    def bump(delta, k):
-        lst = list(delta)
-        lst[k] += 1
-        return tuple(lst)
-
-    def pass_factor(branches, kind):
-        out = {}
-
-        def put(delta, co):
-            prev = out.get(delta)
-            out[delta] = co if prev is None else prev + co
-
-        for delta, co in branches.items():
-            if kind == 0:  # the generator's own intertwiner
-                put(bump(delta, g0), -co * xi * xi1)
-            elif kind == +1:
-                put(bump(delta, g0), co * xi1 * cf.g(new_sector[g0 + 2]) * _inv(cf, new_sector[g0 + 1]))
-                put(bump(delta, g0 + 1), co * cf.g(new_sector[g0]) * _inv(cf, new_sector[g0 + 1]))
-            else:  # kind == -1
-                put(bump(delta, g0 - 1), co * _inv(cf, new_sector[g0]) * cf.g(new_sector[g0 + 1]))
-                put(bump(delta, g0), co * cf.g(new_sector[g0 - 1]) * xi * _inv(cf, new_sector[g0]))
-        return out
-
-    if g0 - 1 >= 0:
-        for _ in range(powers[g0 - 1]):
-            branches = pass_factor(branches, -1)
-    for _ in range(powers[g0]):
-        branches = pass_factor(branches, 0)
-    if g0 + 1 <= n - 2:
-        for _ in range(powers[g0 + 1]):
-            branches = pass_factor(branches, +1)
-
-    passive = list(powers)
-    for k in (g0 - 1, g0, g0 + 1):
-        if 0 <= k <= n - 2:
-            passive[k] = 0
-    result = {}
-    for delta, co in branches.items():
-        newp = tuple(p + d for p, d in zip(passive, delta))
-        key = BasisElement(new_sector, newp)
-        prev = result.get(key)
-        result[key] = co if prev is None else prev + co
-    base = cf.base(sector[g0], sector[g0 + 1])
-    return result, base
-
-
-def _inv(cf, rep):
-    g = cf.g(rep)
-    if isinstance(g, Laurent):
-        return L_ONE
-    return 1.0 / g
+    xi, xi1 = (ctx.qpow(-ctx.labels[new_sector[k]].gamma, inverse) for k in (i - 1, i))
+    g = (1.0, *(ctx.sqrt_qn[rep] for rep in new_sector), 1.0)  # g[k] on 1-based slot k
+    return (
+        -xi * xi1,
+        g[i + 1] / g[i],
+        g[i - 1] * xi / g[i],
+        g[i] / g[i + 1],
+        xi1 * g[i + 2] / g[i + 1],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +325,10 @@ class BraidMatrix:
         return len(self.basis)
 
     def entries_json(self):
+        """Wire form of ``entries``, read-only: zero entries share one object."""
         if self.backend == "laurent":
-            return [[e.to_json() for e in row] for row in self.entries]
+            zero = {"terms": []}
+            return [[e.to_json() if e.terms else zero for e in row] for row in self.entries]
         return [[numeric_to_json(v) for v in row] for row in self.entries]
 
     def to_json(self):
@@ -437,34 +351,38 @@ def monomial_basis_elements(n, N, sectors):
 
 
 def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
-    if backend == "laurent":
-        sectors = [tuple(range(n))]
-        cf = _LaurentRewrite(n, inverse)
-        zero = L_ZERO
-    else:
-        sectors = ctx.distinct_sectors()
-        cf = _NumericRewrite(ctx, inverse)
-        zero = 0.0
+    exact = backend == "laurent"
+    sectors = [tuple(range(n))] if exact else ctx.distinct_sectors()
+    exps = monomial_exponents(n, N)
+    pos = {powers: k for k, powers in enumerate(exps)}
+    offset = {sec: k * len(exps) for k, sec in enumerate(sectors)}
     basis = monomial_basis_elements(n, N, sectors)
-    index = {el: k for k, el in enumerate(basis)}
     dim = len(basis)
+    sign = -1 if inverse else 1
     mats = []
     for i in range(1, n):
-        if backend == "laurent":
-            entries = [[zero] * dim for _ in range(dim)]
+        if exact:
+            # each O_i gives -x**2, each O_{i-1} or O_{i+1} turned into O_i gives x
+            triplets = [
+                (sign * (2 * counts[0] + counts[2] + counts[4]), pos[image], col,
+                 (-1) ** counts[0] * mult)
+                for col, powers in enumerate(exps)
+                for image, counts, mult in _rewrite_images(i, powers)
+            ]
+            entries = _ExactMatrix((dim, dim), *np.array(triplets, np.int64).T).to_laurent()
         else:
             entries = np.zeros((dim, dim))
-        for col, el in enumerate(basis):
-            images, bf = rewrite_generator(cf, i, el)
-            for el2, co in images.items():
-                if backend == "numeric":
-                    # homogeneous labels keep the constant vacuum factor in the phase
-                    if not renormalize:
-                        co = co * bf
-                    entries[index[el2], col] = float(co)
-                else:
-                    entries[index[el2]][col] = co
-        phase = Phase(-1 if inverse else 1) if (backend == "laurent" or renormalize) else Phase()
+            for sec in sectors:
+                new_sec = ctx.swapped_perm(sec, i)
+                factors = _exchange_factors(ctx, new_sec, i, inverse)
+                la, lb = ctx.labels[sec[i - 1]], ctx.labels[sec[i]]
+                # homogeneous labels keep the constant vacuum factor in the phase
+                vacuum = 1.0 if renormalize else ctx.qpow(-(la.c * lb.gamma + lb.c * la.gamma), inverse)
+                for col, powers in enumerate(exps, offset[sec]):
+                    for image, counts, mult in _rewrite_images(i, powers):
+                        value = mult * math.prod(map(pow, factors, counts)) * vacuum
+                        entries[offset[new_sec] + pos[image], col] = value
+        phase = Phase(sign) if (exact or renormalize) else Phase()
         mats.append(
             BraidMatrix(
                 generator=i,
@@ -476,8 +394,8 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
                 basis=basis,
                 entries=entries,
                 phase=phase,
-                q=None if backend == "laurent" else float(ctx.q),
-                labels=None if backend == "laurent" else ctx.labels,
+                q=None if exact else float(ctx.q),
+                labels=None if exact else ctx.labels,
             )
         )
     return mats
@@ -512,6 +430,9 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, binomial, tols):
             image = S @ V
             try:
                 coeffs = np.linalg.solve(tgram, tV.T @ image)
+                # one step of iterative refinement recovers the digits that
+                # the normal equations lose to the squared condition number
+                coeffs += np.linalg.solve(tgram, tV.T @ (image - tV @ coeffs))
             except np.linalg.LinAlgError as exc:
                 raise GramSolveError("singular Gram matrix in direct route") from exc
             resid = np.linalg.norm(image - tV @ coeffs, axis=0) / np.maximum(

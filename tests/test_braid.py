@@ -446,6 +446,16 @@ class TestRoutes:
             assert m.solve_residual is not None
             assert m.solve_residual < 1e-10
 
+    def test_direct_refinement_on_verify_seed_family(self):
+        """Marked (5,3) at q = 0.341, the worst series-route family drawn by
+        ``verify --seed 672296719``: its relation defect was 3.19e-9 before
+        the direct route refined its Gram solve."""
+        base = RepLabel(0.6190364497722707, 2.417648358400162)
+        marked = RepLabel(2.4502073193101666, 0.2512439274232859)
+        ctx = Context((base,) * 4 + (marked,), 0.3410150902087009)
+        mats = build_matrices(5, 3, route="direct", ctx=ctx, formula="series")
+        assert braid_relation_defect(mats) < DEFAULT_TOLS.braid_residual
+
     def test_direct_rejects_span_residual(self, mctx3):
         with pytest.raises(GramSolveError, match="leaves the lowest-weight span"):
             build_matrices(3, 2, route="direct", ctx=mctx3, tols=Tolerances(span_residual=-1.0))
@@ -537,20 +547,26 @@ def test_routes_agree_on_both_sides_of_q_one(ctx, N):
 
 
 def test_numeric_rewrite_matches_exact_family():
-    """The homogeneous numeric rewrite is the exact family at x = q**-gamma."""
+    """The homogeneous numeric rewrite is the exact family at x = q**-gamma.
+
+    Both backends share one rewrite enumeration, so the exact family is
+    also held against the direct route, which shares none of it.
+    """
     gamma, c = 1.3, 0.7
     for n in range(2, 6):
-        for N in range(4):
+        for N in range(5):
             for inverse in (False, True):
                 exact = build_matrices(n, N, inverse=inverse)
                 for q in (0.3, 0.7, 1.4, 3.0):
                     ctx = homogeneous_context(n, gamma, c, q)
-                    numeric = build_matrices(n, N, ctx=ctx, inverse=inverse)
-                    for a, b in zip(numeric, exact):
-                        assert a.basis == b.basis and a.phase == b.phase
-                        want = _at(b.entries, q ** -gamma)
-                        err = np.max(np.abs(a.entries - want)) / np.max(np.abs(want))
-                        assert err <= DEFAULT_TOLS.route_match, (n, N, q, inverse)
+                    routes = ("rewrite", "direct") if q in (0.7, 1.4) else ("rewrite",)
+                    for route in routes:
+                        numeric = build_matrices(n, N, route=route, ctx=ctx, inverse=inverse)
+                        for a, b in zip(numeric, exact):
+                            assert a.basis == b.basis and a.phase == b.phase
+                            want = _at(b.entries, q ** -gamma)
+                            err = np.max(np.abs(a.entries - want)) / np.max(np.abs(want))
+                            assert err <= DEFAULT_TOLS.route_match, (n, N, q, inverse, route)
 
 
 class TestWords:
