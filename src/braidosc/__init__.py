@@ -62,14 +62,18 @@ from .braid import (
     sigma_weight_matrix,
     unreduced_burau,
 )
-from .verify import (
-    CheckResult,
-    SuiteReport,
-    run_suites,
-    suite_algebra,
-    suite_braid,
-    suite_spaces,
-)
+
+# verify is loaded on first use: matrix, word and dims never need it
+_VERIFY_NAMES = ("CheckResult", "SuiteReport", "run_suites", "suite_algebra", "suite_braid", "suite_spaces")
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __version__ = "0.1.0"
 

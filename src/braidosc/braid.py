@@ -45,7 +45,6 @@ from .scalars import (
     Laurent,
     Phase,
     RationalFunction,
-    numeric_to_json,
 )
 from .oscillator import (
     BraidoscError,
@@ -325,11 +324,7 @@ class BraidMatrix:
         return len(self.basis)
 
     def entries_json(self):
-        """Wire form of ``entries``, read-only: zero entries share one object."""
-        if self.backend == "laurent":
-            zero = {"terms": []}
-            return [[e.to_json() if e.terms else zero for e in row] for row in self.entries]
-        return [[numeric_to_json(v) for v in row] for row in self.entries]
+        return _entries_json(self.entries)
 
     def to_json(self):
         out = {
@@ -340,6 +335,24 @@ class BraidMatrix:
         if self.solve_residual is not None:
             out["solve_residual"] = self.solve_residual
         return out
+
+
+def _entries_json(entries):
+    """Wire form of a float array or of nested Laurent lists, read-only.
+
+    Zero entries share one object, and only the others are formatted: a
+    many-sector float matrix is almost all +0.0.  Each float entry equals
+    ``numeric_to_json`` of it, so -0.0 and nan keep their own text.
+    """
+    if not isinstance(entries, np.ndarray):
+        zero = {"terms": []}
+        return [[e.to_json() if e.terms else zero for e in row] for row in entries]
+    rows, cols = entries.shape
+    out = [["0.0"] * cols for _ in range(rows)]
+    r, c = np.nonzero((entries != 0) | np.signbit(entries))
+    for i, j, v in zip(r.tolist(), c.tolist(), entries[r, c].tolist()):
+        out[i][j] = repr(v)
+    return out
 
 
 def monomial_basis_elements(n, N, sectors):
@@ -954,9 +967,74 @@ class _ExactMatrix:
         return out
 
 
-def _operand(entries):
-    """Float arrays as they are, Laurent lists as an exact matrix."""
-    return entries if isinstance(entries, np.ndarray) else _ExactMatrix.from_laurent(entries)
+class _BlockMatrix:
+    """Float matrix that maps each column sector into one row sector.
+
+    Column sector s has its only nonzero block, ``blocks[s]``, in row
+    sector ``target[s]``.  One block (``target == [0]``) is a plain dense
+    matrix, so every float matrix has this form.
+    """
+
+    __slots__ = ("target", "blocks")
+
+    def __init__(self, target, blocks):
+        self.target, self.blocks = target, blocks
+
+    @classmethod
+    def from_dense(cls, entries, size):
+        """Blocks of a sector-major array with ``size`` rows per sector.
+
+        A column sector with two nonzero row blocks makes it one block.
+        """
+        dim = entries.shape[0]
+        sectors = dim // size
+        if sectors > 1:
+            view = entries.reshape(sectors, size, sectors, size)
+            nonzero = (view != 0).any(axis=(1, 3))  # [row sector, column sector]
+            if nonzero.sum(axis=0).max() <= 1:
+                target = nonzero.argmax(axis=0)
+                return cls(target, view[target, :, np.arange(sectors), :])
+        return cls(np.zeros(1, np.intp), entries.reshape(1, dim, dim))
+
+    def identity(self):
+        """The identity with this matrix's sectors."""
+        sectors, size, _ = self.blocks.shape
+        return _BlockMatrix(np.arange(sectors), np.broadcast_to(np.eye(size), self.blocks.shape))
+
+    def flat(self):
+        return _BlockMatrix(np.zeros(1, np.intp), self.dense()[None])
+
+    def dense(self):
+        sectors, size, _ = self.blocks.shape
+        if sectors == 1:
+            return self.blocks[0]
+        out = np.zeros((sectors * size, sectors * size))
+        out.reshape(sectors, size, sectors, size)[self.target, :, np.arange(sectors), :] = self.blocks
+        return out
+
+    def __matmul__(self, other):
+        if len(self.target) != len(other.target):
+            return self.flat() @ other.flat()
+        return _BlockMatrix(self.target[other.target], self.blocks[other.target] @ other.blocks)
+
+    def max_abs(self):
+        return float(np.max(np.abs(self.blocks)))
+
+    def max_diff(self, other):
+        """Largest entry of |self - other|."""
+        if len(self.target) != len(other.target):
+            return self.flat().max_diff(other.flat())
+        mine, theirs = (np.abs(m.blocks).max(axis=(1, 2)) for m in (self, other))
+        # a column sector whose targets differ holds both blocks, apart
+        same = np.abs(self.blocks - other.blocks).max(axis=(1, 2))
+        return float(np.max(np.where(self.target == other.target, same, np.maximum(mine, theirs))))
+
+
+def _operand(mat):
+    """A family member's float entries as blocks, Laurent lists as an exact matrix."""
+    if isinstance(mat.entries, np.ndarray):
+        return _BlockMatrix.from_dense(mat.entries, len(monomial_exponents(mat.n, mat.N)))
+    return _ExactMatrix.from_laurent(mat.entries)
 
 
 def lmat_mul(A, B):
@@ -974,7 +1052,7 @@ def braid_relation_defect(mats):
     Laurent families returns 0.0 on exact equality and otherwise the
     largest absolute difference of the two sides at x = 0.7.
     """
-    by_gen = {m.generator: _operand(m.entries) for m in mats}
+    by_gen = {m.generator: _operand(m) for m in mats}
     n = mats[0].n
     worst = 0.0
     for i in range(1, n - 1):
@@ -992,8 +1070,7 @@ def _defect(lhs, rhs):
         if lhs == rhs:
             return 0.0
         return float(np.max(np.abs(lhs.at(0.7) - rhs.at(0.7))))
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return lhs.max_diff(rhs) / max(lhs.max_abs(), rhs.max_abs(), 1e-300)
 
 
 def inverse_defect(fwd, inv):
@@ -1004,9 +1081,9 @@ def inverse_defect(fwd, inv):
             raise ValueError("mismatched generator lists")
         if (mf.phase * mi.phase).exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
-        prod = _operand(mf.entries) @ _operand(mi.entries)
-        if isinstance(prod, np.ndarray):
-            d = float(np.max(np.abs(prod - np.eye(prod.shape[0]))))
+        prod = _operand(mf) @ _operand(mi)
+        if isinstance(prod, _BlockMatrix):
+            d = prod.max_diff(prod.identity())
         else:
             d = _defect(prod, _ExactMatrix.identity(prod.shape[0]))
         worst = max(worst, d)
@@ -1033,19 +1110,15 @@ def evaluate_word(word, forward, inverse):
                 "and negative letters need the inverse family" % (letter, len(forward))
             )
         if letter not in operands:
-            operands[letter] = _operand(mat.entries)
+            operands[letter] = _operand(mat)
         total = operands[letter] if total is None else operands[letter] @ total
         phase = mat.phase * phase
     if isinstance(total, _ExactMatrix):
         return total.to_laurent(), phase
-    if total is None:
-        dim = forward[0].dimension
-        total = (
-            np.eye(dim)
-            if isinstance(forward[0].entries, np.ndarray)
-            else _laurent_identity(dim)
-        )
-    return total, phase
+    if isinstance(total, _BlockMatrix):
+        return total.dense(), phase
+    dim = forward[0].dimension
+    return (np.eye(dim) if isinstance(forward[0].entries, np.ndarray) else _laurent_identity(dim)), phase
 
 
 def family_to_json(mats):

@@ -15,13 +15,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .scalars import DEFAULT_TOLS
 from .oscillator import BraidoscError, Context, RepLabel, homogeneous_context, marked_context
 from .weightspace import counts
-from .braid import build_matrices, evaluate_word, family_to_json
-from .verify import run_suites
+from .braid import _entries_json, build_matrices, evaluate_word, family_to_json
 
 
 def _rep_args(p, with_route=True):
@@ -77,22 +74,34 @@ def _build_family(args):
     )
 
 
-def _json_text(obj, pad="\n"):
+def _json_text(obj):
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` for str
     keys, built by joining strings: json's indented encoder is pure Python
     and cost more than the build on a matrix export.  Lists of strings (matrix
-    rows, Laurent terms) are encoded in C."""
-    inner, _encode_str = pad + "  ", json.encoder.encode_basestring_ascii
-    if isinstance(obj, dict):
-        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    try:
-        items = list(map(_encode_str, obj))
-    except TypeError:
-        items = [_json_text(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    rows, Laurent terms) are encoded in C, and an object that a list holds
+    more than once, such as the shared zero of an exact matrix, is encoded
+    once per depth."""
+    encode_str, memo = json.encoder.encode_basestring_ascii, {}
+
+    def text(obj, pad):
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            items = [encode_str(k) + ": " + text(v, inner) for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+        if not isinstance(obj, (list, tuple)):
+            return json.dumps(obj)
+        try:
+            items = list(map(encode_str, obj))
+        except TypeError:
+            items = []
+            for v in obj:
+                key = id(v), len(inner)
+                if key not in memo:
+                    memo[key] = text(v, inner)
+                items.append(memo[key])
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+
+    return text(obj, "\n")
 
 
 def _emit(text, path):
@@ -145,6 +154,8 @@ def cmd_dims(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suites
+
     try:
         reports = run_suites(args.suite, seed=args.seed, tols=DEFAULT_TOLS)
     except ValueError as exc:
@@ -184,15 +195,13 @@ def cmd_word(args):
         print(str(exc), file=sys.stderr)
         return 2
     total, phase = evaluate_word(letters, fwd, inv)
-    numeric = isinstance(total, np.ndarray)
-    entries = [[repr(float(v)) if numeric else v.to_json() for v in row] for row in total]
     payload = {
         "word": letters,
         "n": args.n,
         "N": args.N,
         "backend": fwd[0].backend,
         "phase": phase.to_json(),
-        "entries": entries,
+        "entries": _entries_json(total),
     }
     _emit(_json_text(payload) + "\n", args.output)
     return 0

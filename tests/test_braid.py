@@ -1,5 +1,6 @@
 """Braid generator matrices: tensor action, rewriting, closed forms, words."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -37,7 +38,9 @@ from braidosc.oscillator import (
     homogeneous_context,
     marked_context,
 )
-from braidosc.scalars import DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, Tolerances, q_number
+from braidosc.scalars import (
+    DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, Tolerances, numeric_to_json, q_number,
+)
 from braidosc.weightspace import weight_basis
 
 
@@ -569,6 +572,83 @@ def test_numeric_rewrite_matches_exact_family():
                             assert err <= DEFAULT_TOLS.route_match, (n, N, q, inverse, route)
 
 
+
+def _dense_relation_defect(mats):
+    """braid_relation_defect from dense products, with its rounding slack.
+
+    The slack bounds how far two summation orders of the same products
+    can move the defect: the rounding of each product, scaled by the
+    Frobenius norms of its factors, over the scale the defect divides by.
+    """
+    adjacent = [(A @ B @ A, B @ A @ B, (A, B, A)) for A, B in zip(mats, mats[1:])]
+    far = [(A @ B, B @ A, (A, B)) for k, A in enumerate(mats) for B in mats[k + 2:]]
+    want = slack = 0.0
+    for lhs, rhs, factors in adjacent + far:
+        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
+        want = max(want, np.max(np.abs(lhs - rhs)) / scale)
+        bound = 10 * len(factors) * lhs.shape[0] * np.finfo(float).eps
+        slack = max(slack, bound * math.prod(np.linalg.norm(f) for f in factors) / scale)
+    return want, slack
+
+
+def _dense_word(word, fwd, inv):
+    """Dense product M(w_L) ... M(w_1) and its factors."""
+    factors = [(fwd if letter > 0 else inv)[abs(letter) - 1].entries for letter in word]
+    total = np.eye(fwd[0].dimension)
+    for f in factors:
+        total = f @ total
+    return total, factors
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ctx=_numeric_contexts(), N=st.integers(0, 3), route=st.sampled_from(["rewrite", "direct"]),
+       data=st.data())
+def test_block_checks_match_dense_products(ctx, N, route, data):
+    """Relation, inverse and word checks on sector blocks agree with dense
+    NumPy products of the stored entries, forward and inverse."""
+    fwd, inv = (build_matrices(ctx.n, N, route=route, ctx=ctx, inverse=inverse) for inverse in (False, True))
+    for fam in (fwd, inv):
+        want, slack = _dense_relation_defect([m.entries for m in fam])
+        assert abs(braid_relation_defect(fam) - want) <= slack
+    eps, d = np.finfo(float).eps, fwd[0].dimension
+    want = max(np.max(np.abs(f.entries @ b.entries - np.eye(d))) for f, b in zip(fwd, inv))
+    slack = max(20 * d * eps * np.linalg.norm(f.entries) * np.linalg.norm(b.entries) for f, b in zip(fwd, inv))
+    assert abs(inverse_defect(fwd, inv) - want) <= slack
+    letter = st.integers(1, ctx.n - 1).flatmap(lambda k: st.sampled_from([k, -k]))
+    word = data.draw(st.lists(letter, max_size=6))
+    total, _ = evaluate_word(word, fwd, inv)
+    _assert_rounding_level(total, *_dense_word(word, fwd, inv))
+
+
+def _off_block_row(entries, size, col):
+    """A row in a sector where column ``col`` has only zeros."""
+    used = {r // size for r in np.flatnonzero(entries[:, col])}
+    return next(sec for sec in range(entries.shape[0] // size) if sec not in used) * size
+
+
+def test_block_checks_fall_back_to_dense_off_the_blocks():
+    """One entry outside the sector blocks makes that generator one dense
+    block; every check then equals its dense value.  So does a family whose
+    sector permutations break the braid relation."""
+    ctx = Context([RepLabel(0.7, 0.4), RepLabel(1.1, 0.9), RepLabel(1.6, 0.5)], 1.4)
+    three = build_matrices(3, 2, ctx=ctx)
+    # A = sigma_1, B = sigma_1 sigma_2: ABA and BAB send every sector apart
+    word, _ = evaluate_word([1, 2], three, None)
+    mixed = [three[0], dataclasses.replace(three[1], entries=word)]
+    want, slack = _dense_relation_defect([m.entries for m in mixed])
+    assert want > 0.1 and abs(braid_relation_defect(mixed) - want) <= slack
+    ctx = Context([RepLabel(0.7, 0.4), RepLabel(1.0, 0.9), RepLabel(1.4, 0.5), RepLabel(1.8, 1.2)], 0.6)
+    fwd, inv = (build_matrices(4, 2, ctx=ctx, inverse=inverse) for inverse in (False, True))
+    E = fwd[1].entries
+    E[_off_block_row(E, 6, 0), 0] = 0.5 * np.max(np.abs(E))
+    want, _ = _dense_relation_defect([m.entries for m in fwd])
+    assert want > 1e-3 and braid_relation_defect(fwd) == pytest.approx(want, rel=1e-12)
+    want = max(np.max(np.abs(f.entries @ b.entries - np.eye(144))) for f, b in zip(fwd, inv))
+    assert want > 1e-3 and inverse_defect(fwd, inv) == pytest.approx(want, rel=1e-12)
+    word = [1, 2, -3, 2, -1]
+    total, _ = evaluate_word(word, fwd, inv)
+    _assert_rounding_level(total, *_dense_word(word, fwd, inv))
+
 class TestWords:
     def test_braid_relation_as_words(self):
         f = build_matrices(3, 2)
@@ -657,6 +737,16 @@ class TestSerialization:
             assert js["entries"] == [[repr(float(v)) for v in row] for row in m.entries]
         first = {v for row in doc["matrices"][0]["entries"] for v in row}
         assert {"0.0", "-0.0"} < first
+        # all-distinct labels: special values outside the sector blocks
+        ctx = Context([RepLabel(0.7, 0.4), RepLabel(1.1, 0.9), RepLabel(1.6, 0.5)], 1.4)
+        distinct = build_matrices(3, 2, ctx=ctx)
+        E = distinct[0].entries
+        for col, value in enumerate((-0.0, math.nan, 5e-324)):
+            E[_off_block_row(E, 3, 3 * col), 3 * col] = value
+        for m, js in zip(distinct, family_to_json(distinct)["matrices"]):
+            assert js["entries"] == [[numeric_to_json(v) for v in row] for row in m.entries]
+        first = {v for row in family_to_json(distinct)["matrices"][0]["entries"] for v in row}
+        assert {"0.0", "-0.0", "nan", "5e-324"} < first
         assert doc["q"] == pytest.approx(0.62)
         assert len(doc["labels"]) == 3
         assert "solve_residual" in doc["matrices"][0]

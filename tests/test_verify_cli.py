@@ -1,10 +1,14 @@
 """Verification suites and command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import braidosc
 from braidosc import cli
 from braidosc.braid import build_matrices, family_to_json
 from braidosc.verify import SUITES, CheckResult, run_suites, suite_braid
@@ -49,6 +53,23 @@ class TestSuites:
         assert json.loads(json.dumps(doc))["passed"] is True
 
 
+def test_verify_module_loads_on_first_use():
+    """The package and the CLI import verify only when a suite runs, yet
+    its names stay part of the package."""
+    code = (
+        "import sys\n"
+        "import braidosc, braidosc.cli\n"
+        "assert 'braidosc.verify' not in sys.modules, sorted(sys.modules)\n"
+        "assert 'run_suites' in braidosc.__all__\n"
+        "from braidosc.verify import run_suites\n"
+        "assert braidosc.run_suites is run_suites\n"
+    )
+    src = os.path.dirname(os.path.dirname(braidosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestCliMatrix:
     def test_laurent_json_matches_library(self, capsys):
         assert cli.main(["matrix", "--n", "3", "--N", "1", "--backend", "laurent"]) == 0
@@ -80,6 +101,8 @@ class TestCliMatrix:
         family_to_json(build_matrices(3, 2)),
         family_to_json(build_matrices(3, 2, route="direct", ctx=cli._build_context(
             cli.build_parser().parse_args(["matrix", "--n", "3", "--N", "2", "--het"])))),
+        # one object held at several depths, as the shared zero of an exact matrix
+        (lambda z: [[z, z], [z, [z, {"k": [z]}]], z])({"terms": [[2, "-1"]]}),
     ])
     def test_json_text_matches_indented_dumps(self, payload):
         assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
