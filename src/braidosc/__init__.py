@@ -10,7 +10,6 @@ from .scalars import (
     DEFAULT_TOLS,
     Laurent,
     Phase,
-    RationalFunction,
     Tolerances,
     q_number,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "DEFAULT_TOLS",
     "Laurent",
     "Phase",
-    "RationalFunction",
     "Tolerances",
     "q_number",
     "BraidoscError",

@@ -20,20 +20,19 @@ Closed-form families (reduced Burau for level 1, a Lawrence-Krammer-Bigelow
 style family for level 2, and the one-marked-slot level-1 family) are
 implemented separately again so that each can cross-check the others.
 
-Two-slot transition amplitudes come in two variants controlled by
-``binomial``: "series", obtained by expanding the R-matrix exponential
-term by term with plain binomial factors C(m, k), and "multiset", an
-alternative closed form using the multiset coefficient C(m+k-1, m-1).
-The two agree on every k <= 1 transition and split at k >= 2; only the
-series variant satisfies the braid relations at level >= 2, so it is
-the default.  See compare_transition_formulas for the documented
-discrepancy.
+The closed two-slot transition amplitude uses the plain binomial factors
+C(m, k) obtained by expanding the R-matrix exponential term by term.
+apply_braid_generator and sigma_weight_matrix also take
+``binomial="multiset"``, an alternative closed form using the multiset
+coefficient C(m+k-1, m-1).  The two agree on every k <= 1 transition and
+split at k >= 2; only the series variant satisfies the braid relations at
+level >= 2, so matrix families are always built with it.  See
+compare_transition_formulas for the documented discrepancy.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ from .scalars import (
     L_ZERO,
     Laurent,
     Phase,
-    RationalFunction,
 )
 from .oscillator import (
     BraidoscError,
@@ -57,6 +55,7 @@ from .oscillator import (
     marked_context,
 )
 from .weightspace import (
+    _check_size,
     coordinates,
     lowest_weight_monomials,
     monomial_exponents,
@@ -110,10 +109,8 @@ def _pr_closed(ctx, st, coeff, g, inverse, binomial, out):
     for k in range(fm + 1):
         if binomial == "series":
             bf = math.sqrt(math.comb(fm, k) * math.comb(sm + k, sm))
-        elif binomial == "multiset":
-            bf = 1.0 if k == 0 else math.sqrt(math.comb(fm + k - 1, fm - 1) * math.comb(sm + k, sm))
         else:
-            raise ValueError("binomial must be 'series' or 'multiset'")
+            bf = 1.0 if k == 0 else math.sqrt(math.comb(fm + k - 1, fm - 1) * math.comb(sm + k, sm))
         occ = list(st.occ)
         if inverse:
             occ[g] = fm - k
@@ -177,16 +174,22 @@ def apply_braid_generator(i, vec, *, inverse=False, formula="closed", binomial="
     ctx = vec.ctx
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("generator index out of range")
+    _check_formula(formula)
+    if binomial not in ("series", "multiset"):
+        raise ValueError("binomial must be 'series' or 'multiset', got %r" % (binomial,))
     g = i - 1
     out = WeightVector(ctx)
     for st, co in vec.terms.items():
         if formula == "closed":
             _pr_closed(ctx, st, co, g, inverse, binomial, out)
-        elif formula == "series":
-            _pr_series(ctx, st, co, g, inverse, out)
         else:
-            raise ValueError("formula must be 'closed' or 'series'")
+            _pr_series(ctx, st, co, g, inverse, out)
     return out
+
+
+def _check_formula(formula):
+    if formula not in ("closed", "series"):
+        raise ValueError("formula must be 'closed' or 'series', got %r" % (formula,))
 
 
 def sigma_weight_matrix(ctx, N, i, *, inverse=False, formula="closed", binomial="series"):
@@ -414,7 +417,7 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
     return mats
 
 
-def _matrices_direct(n, N, ctx, inverse, renormalize, formula, binomial, tols):
+def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
     sectors = ctx.distinct_sectors()
     basis = monomial_basis_elements(n, N, sectors)
     d = len(monomial_exponents(n, N))
@@ -436,7 +439,7 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, binomial, tols):
             c0, states, V, _ = per_sector[sec]
             r0, tstates, tV, tgram = per_sector[ctx.swapped_perm(sec, i)]
             S = operator_matrix(
-                lambda v: apply_braid_generator(i, v, inverse=inverse, formula=formula, binomial=binomial),
+                lambda v: apply_braid_generator(i, v, inverse=inverse, formula=formula),
                 states,
                 tstates,
             )
@@ -487,7 +490,6 @@ def build_matrices(
     inverse=False,
     renormalize=None,
     formula="closed",
-    binomial="series",
     tols=DEFAULT_TOLS,
 ):
     """Matrices of all braid generators on the level-N lowest-weight space.
@@ -496,13 +498,13 @@ def build_matrices(
     no context; backend "numeric" requires a Context.  ``renormalize``
     defaults to True exactly when the labels are homogeneous, in which
     case the constant vacuum factor q**(-2 c gamma) per generator is
-    reported in the phase instead of the entries.
+    reported in the phase instead of the entries.  ``formula`` ("closed"
+    or "series") picks the two-slot amplitude of the direct route; the
+    other routes check it and do not use it.
     """
-    for name, value, low in (("n", n, 2), ("N", N, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError("%s must be an integer, got %r" % (name, value))
-        if value < low:
-            raise ValueError("%s must be >= %d, got %r" % (name, low, value))
+    _check_size("n", n, 2)
+    _check_size("N", N, 0)
+    _check_formula(formula)
     if backend is None:
         backend = "numeric" if ctx is not None else "laurent"
     if backend == "laurent":
@@ -523,7 +525,7 @@ def build_matrices(
     if route == "rewrite":
         return _matrices_rewrite(n, N, ctx, "numeric", inverse, renorm)
     if route == "direct":
-        return _matrices_direct(n, N, ctx, inverse, renorm, formula, binomial, tols)
+        return _matrices_direct(n, N, ctx, inverse, renorm, formula, tols)
     if route == "closed_form":
         return closed_form_family(n, N, ctx=ctx, inverse=inverse)
     raise ValueError("unknown route %r" % (route,))
@@ -802,24 +804,25 @@ def reduced_burau_reference(n):
     """Reduced Burau matrices on the invariant spanning set t e_j - e_{j+1}.
 
     Built by exact restriction of the unreduced matrices, solving the
-    bidiagonal coordinate system over the rational-function field; kept
+    bidiagonal coordinate system, whose diagonal is the unit t; kept
     independent from both the closed form and the rewrite engine.
     """
-    t = RationalFunction(Laurent.x(2))
+    t = Laurent.x(2)
+    t_inv = Laurent.x(-2)
     mats = []
     for M in unreduced_burau(n):
         R = [[L_ZERO] * (n - 1) for _ in range(n - 1)]
         for j in range(n - 1):
             # image of u_j = t e_j - e_{j+1} in e-coordinates
-            y = [RationalFunction(M[r][j]) * t - RationalFunction(M[r][j + 1]) for r in range(n)]
+            y = [M[r][j] * t - M[r][j + 1] for r in range(n)]
             c = [None] * (n - 1)
-            c[0] = y[0] / t
+            c[0] = y[0] * t_inv
             for r in range(1, n - 1):
-                c[r] = (y[r] + c[r - 1]) / t
+                c[r] = (y[r] + c[r - 1]) * t_inv
             if not (-c[n - 2] - y[n - 1]).is_zero():
                 raise BraidoscError("burau spanning set is not invariant")
             for r in range(n - 1):
-                R[r][j] = c[r].as_laurent()
+                R[r][j] = c[r]
         mats.append(R)
     return mats
 
@@ -1052,6 +1055,8 @@ def braid_relation_defect(mats):
     Laurent families returns 0.0 on exact equality and otherwise the
     largest absolute difference of the two sides at x = 0.7.
     """
+    if not mats:
+        raise ValueError("empty generator family")
     by_gen = {m.generator: _operand(m) for m in mats}
     n = mats[0].n
     worst = 0.0
@@ -1074,9 +1079,12 @@ def _defect(lhs, rhs):
 
 
 def inverse_defect(fwd, inv):
-    """Deviation of sigma * sigma^{-1} from the identity, per generator."""
+    """Deviation of sigma * sigma^{-1} from the identity, per generator.
+
+    The two families must list the same generators in the same order.
+    """
     worst = 0.0
-    for mf, mi in zip(fwd, inv):
+    for mf, mi in zip(fwd, inv, strict=True):
         if mf.generator != mi.generator:
             raise ValueError("mismatched generator lists")
         if (mf.phase * mi.phase).exponent != 0:
@@ -1123,6 +1131,8 @@ def evaluate_word(word, forward, inverse):
 
 def family_to_json(mats):
     """Wire format for one generator family (common metadata hoisted)."""
+    if not mats:
+        raise ValueError("empty generator family")
     first = mats[0]
     phases = {str(m.phase.to_json()) for m in mats}
     if len(phases) != 1:

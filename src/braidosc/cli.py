@@ -38,7 +38,6 @@ def _rep_args(p, with_route=True):
                    help="laurent = exact in x = q**(-gamma), homogeneous only")
     if with_route:
         p.add_argument("--route", choices=("rewrite", "direct", "closed_form"), default="rewrite")
-        p.add_argument("--binomial", choices=("series", "multiset"), default="series")
     p.add_argument("--inverse", action="store_true")
 
 
@@ -70,7 +69,7 @@ def _build_family(args):
     return build_matrices(
         args.n, args.N, route=getattr(args, "route", "rewrite"), backend=backend,
         ctx=_build_context(args) if backend == "numeric" else None,
-        inverse=args.inverse, binomial=getattr(args, "binomial", "series"),
+        inverse=args.inverse,
     )
 
 

@@ -7,9 +7,10 @@ which below is always the combination x = q**(-gamma); in that regime the
 square-root and bare-q factors appearing in intermediate formulas cancel
 identically, so the exact backend carries no rounding error at all.
 
-On top of :class:`Laurent` a small rational-function field supports exact
-kernel computations, and :class:`Phase` records the overall prefactor that
-is kept out of emitted braid matrices.
+Exact kernels and reference matrices need no field of fractions: every
+division they make is by a monomial, which :class:`Laurent` inverts with a
+negative power.  :class:`Phase` records the overall prefactor that is kept
+out of emitted braid matrices.
 """
 
 from __future__ import annotations
@@ -64,9 +65,12 @@ def q_number(gamma, q, *, classical=False):
     """The symmetric q-number (q**gamma - q**-gamma) / (q - 1/q).
 
     ``q = 1`` is a removable singularity and is rejected; callers wanting
-    the classical limit pass ``classical=True`` and get gamma back.
+    the classical limit pass ``classical=True`` and get gamma back.  A
+    non-finite q or gamma is rejected.
     Invariant under q -> 1/q.
     """
+    if not (math.isfinite(gamma) and math.isfinite(q)):
+        raise ValueError("q and gamma must be finite, got q=%r gamma=%r" % (q, gamma))
     if classical:
         return gamma
     if q <= 0:
@@ -287,194 +291,6 @@ class Laurent:
 L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 X = Laurent.x()
-
-
-# -- exact division helpers (used by the rational-function field)
-
-def _ordinary(l):
-    """Split a nonzero Laurent as (shift, ascending coefficient list)."""
-    lo = l.min_exp()
-    hi = l.max_exp()
-    coeffs = [l.coeff(e) for e in range(lo, hi + 1)]
-    return lo, coeffs
-
-
-def _poly_divmod(a, b):
-    """Polynomial divmod on ascending coefficient lists over Fraction."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lead
-        if c:
-            q[i - db] = c
-            for j, bc in enumerate(b):
-                a[i - db + j] -= c * bc
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _poly_gcd(a, b):
-    """Monic gcd of two ascending coefficient lists (either may be empty)."""
-    a = list(a)
-    b = list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _from_coeffs(shift, coeffs):
-    return Laurent({shift + i: c for i, c in enumerate(coeffs) if c})
-
-
-def laurent_divmod(a, b):
-    """Exact quotient and remainder of Laurent polynomials.
-
-    The remainder convention follows the ordinary-polynomial division of
-    the x-shifted representatives; when the division is exact the
-    remainder is zero regardless of shifts.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("Laurent division by zero")
-    if a.is_zero():
-        return L_ZERO, L_ZERO
-    sa, ca = _ordinary(a)
-    sb, cb = _ordinary(b)
-    q, r = _poly_divmod(ca, cb)
-    return _from_coeffs(sa - sb, q), _from_coeffs(sa, r)
-
-
-class RationalFunction:
-    """Element of the fraction field of :class:`Laurent`.
-
-    Normal form: the denominator is an ordinary polynomial with nonzero
-    constant term, monic leading coefficient, and no common factor with
-    the numerator; any power of x is folded into the numerator.  This
-    makes equality structural.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=L_ONE):
-        num = Laurent._coerce(num)
-        den = Laurent._coerce(den)
-        if num is None or den is None:
-            raise TypeError("RationalFunction needs Laurent-compatible parts")
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = L_ZERO
-            self.den = L_ONE
-            return
-        sn, cn = _ordinary(num)
-        sd, cd = _ordinary(den)
-        g = _poly_gcd(cn, cd)
-        if len(g) > 1:
-            cn, _ = _poly_divmod(cn, g)
-            cd, _ = _poly_divmod(cd, g)
-        lead = cd[-1]
-        cn = [c / lead for c in cn]
-        cd = [c / lead for c in cd]
-        self.num = _from_coeffs(sn - sd, cn)
-        self.den = _from_coeffs(0, cd)
-
-    @classmethod
-    def _wrap(cls, other):
-        if isinstance(other, RationalFunction):
-            return other
-        co = Laurent._coerce(other)
-        if co is None:
-            return None
-        return cls(co)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __call__(self, value):
-        return self.num(value) / self.den(value)
-
-    def as_laurent(self):
-        """Return the underlying Laurent polynomial, or raise if not one."""
-        q, r = laurent_divmod(self.num, self.den)
-        if not r.is_zero():
-            raise ValueError("%r is not polynomial" % (self,))
-        return q
-
-    def __repr__(self):
-        if self.den == L_ONE:
-            return "RationalFunction(%s)" % (self.num,)
-        return "RationalFunction((%s)/(%s))" % (self.num, self.den)
-
-
-RF_ZERO = RationalFunction(L_ZERO)
-RF_ONE = RationalFunction(L_ONE)
 
 
 # ---------------------------------------------------------------------------

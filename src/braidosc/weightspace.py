@@ -11,11 +11,13 @@ of the full weight space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, RationalFunction, RF_ONE, RF_ZERO, q_number
+from .scalars import DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, q_number
 from .oscillator import (
     BraidoscError,
     TensorState,
@@ -30,6 +32,14 @@ from .oscillator import (
 
 class DimensionMismatchError(BraidoscError):
     """A computed dimension disagrees with the combinatorial count."""
+
+
+def _check_size(name, value, low):
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < low:
+        raise ValueError("%s must be >= %d, got %r" % (name, low, value))
 
 
 def compositions(total, parts):
@@ -180,6 +190,7 @@ def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
     DimensionMismatchError if the kernel dimension is not the stars-and-
     bars count.
     """
+    _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     expected = lowest_weight_dimension(ctx.n, N)
     if N == 0:
@@ -214,6 +225,7 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     lowering operator (relative residual) and that the Gram matrix is
     positive definite; vectors are kept unnormalized.
     """
+    _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     expts = monomial_exponents(ctx.n, N)
     vectors = [monomial_vector(ctx, powers, sector) for powers in expts]
@@ -295,6 +307,7 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
     total rank, eigenvalue multiplicities of the Casimir matrix, and the
     measured (not asserted) off-block Gram overlap.
     """
+    _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     dom = weight_basis(ctx, N, sector)
     qn_total = q_number(ctx.gamma_total(), ctx.q)
@@ -361,7 +374,7 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
 
 
 # ---------------------------------------------------------------------------
-# exact kernel over the Laurent field (homogeneous labels)
+# exact kernel over Laurent polynomials (homogeneous labels)
 
 @dataclass
 class ExactLoweringKernel:
@@ -396,52 +409,38 @@ def _exact_lowering_matrix(n, N):
     return A, rows, cols
 
 
-def _exact_nullspace(A, ncols):
-    """Right kernel of a Laurent matrix via Gauss-Jordan over fractions."""
-    M = [[RationalFunction(e) for e in row] for row in A]
-    nrows = len(M)
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not M[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        piv = M[r][c]
-        M[r] = [e / piv for e in M[r]]
-        for i in range(nrows):
-            if i != r and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivot_of_col[c] = r
-        r += 1
-    free = [c for c in range(ncols) if c not in pivot_of_col]
+def _exact_nullspace(A, rows, cols):
+    """Right kernel of the exact lowering matrix by back-substitution.
+
+    Row ``low`` holds (low_n + 1) x**n in column ``low + e_n``, so the
+    columns with an empty last slot are free and every other column is
+    solved from row ``occ - e_n`` once the columns with a smaller last
+    slot are known; the pivot is a monomial and inverts exactly.
+    """
+    ridx = {occ: i for i, occ in enumerate(rows)}
+    free = [c for c, occ in enumerate(cols) if occ[-1] == 0]
+    pivots = sorted((c for c, occ in enumerate(cols) if occ[-1]), key=lambda c: cols[c][-1])
+    solve = []
+    for c in pivots:
+        row = A[ridx[cols[c][:-1] + (cols[c][-1] - 1,)]]
+        others = [(k, a) for k, a in enumerate(row) if a and k != c]
+        solve.append((c, others, -row[c] ** -1))
     basis = []
     for fc in free:
-        vec = [RF_ZERO] * ncols
-        vec[fc] = RF_ONE
-        for c, pr in pivot_of_col.items():
-            vec[c] = -M[pr][fc]
+        vec = [L_ZERO] * len(cols)
+        vec[fc] = L_ONE
+        for c, others, inv in solve:
+            vec[c] = sum((a * vec[k] for k, a in others), L_ZERO) * inv
         basis.append(vec)
     return basis
 
 
 def _clear_denominators(vec):
-    """Scale a rational vector to primitive Laurent coordinates."""
-    from fractions import Fraction
-
-    den = L_ONE
-    for e in vec:
-        if not e.is_zero() and e.den != L_ONE:
-            den = den * e.den
-    scaled = [(e * RationalFunction(den)).as_laurent() for e in vec]
-    coeffs = [c for l in scaled for c in l.terms.values()]
+    """Primitive form of a Laurent vector: integer coprime coefficients,
+    lowest exponent 0, first nonzero entry with a positive leading term."""
+    coeffs = [c for l in vec for c in l.terms.values()]
     if not coeffs:
-        return scaled
+        return vec
     # content = gcd of numerators over lcm of denominators
     num_gcd = 0
     den_lcm = 1
@@ -449,9 +448,9 @@ def _clear_denominators(vec):
         num_gcd = math.gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     content = Fraction(num_gcd, den_lcm)
-    shift = min(l.min_exp() for l in scaled if not l.is_zero())
+    shift = min(l.min_exp() for l in vec if not l.is_zero())
     unit = Laurent.x(-shift, 1 / content)
-    out = [l * unit for l in scaled]
+    out = [l * unit for l in vec]
     # overall sign: make the first nonzero leading coefficient positive
     for l in out:
         if not l.is_zero():
@@ -464,17 +463,17 @@ def _clear_denominators(vec):
 def lowest_weight_kernel_exact(n, N):
     """Exact lowest-weight kernel for homogeneous labels.
 
-    Works over the Laurent field in x = q**(-gamma); the rescaled basis
+    Works over Laurent polynomials in x = q**(-gamma); the rescaled basis
     makes every entry polynomial.  Checks the kernel dimension against
     the combinatorial count and that A v = 0 exactly.
     """
-    if n < 2:
-        raise ValueError("need at least two slots")
+    _check_size("n", n, 2)
+    _check_size("N", N, 0)
     occs = compositions(N, n)
     if N == 0:
         return ExactLoweringKernel(n, 0, occs, [], [[L_ONE]])
-    A, _, cols = _exact_lowering_matrix(n, N)
-    null = _exact_nullspace(A, len(cols))
+    A, rows, cols = _exact_lowering_matrix(n, N)
+    null = _exact_nullspace(A, rows, cols)
     expected = lowest_weight_dimension(n, N)
     if len(null) != expected:
         raise DimensionMismatchError(

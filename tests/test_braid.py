@@ -1,6 +1,7 @@
 """Braid generator matrices: tensor action, rewriting, closed forms, words."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,6 +35,7 @@ from braidosc.oscillator import (
     BraidoscError,
     Context,
     RepLabel,
+    WeightVector,
     basis_state,
     homogeneous_context,
     marked_context,
@@ -135,10 +137,14 @@ class TestTransitionVariants:
         assert diff["multiset"] / diff["series"] == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
     def test_variants_agree_at_level_one(self, mctx3):
-        a = build_matrices(3, 1, route="direct", ctx=mctx3, binomial="series")
-        b = build_matrices(3, 1, route="direct", ctx=mctx3, binomial="multiset")
-        for ma, mb in zip(a, b):
-            assert np.max(np.abs(ma.entries - mb.entries)) < 1e-12
+        for i in (1, 2):
+            a = sigma_weight_matrix(mctx3, 1, i, binomial="series")
+            b = sigma_weight_matrix(mctx3, 1, i, binomial="multiset")
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_families_have_no_binomial_knob(self, mctx3):
+        with pytest.raises(TypeError):
+            build_matrices(3, 1, route="direct", ctx=mctx3, binomial="multiset")
 
     def test_variants_differ_at_higher_occupation(self, het2):
         a = sigma_weight_matrix(het2, 2, 1, binomial="series")
@@ -147,6 +153,11 @@ class TestTransitionVariants:
 
 
 class TestBurau:
+    def test_reduced_reference_pinned(self):
+        # md5 of every reference matrix for n = 2..8, as printed entries
+        text = repr([[[str(e) for e in row] for row in M] for n in range(2, 9) for M in reduced_burau_reference(n)])
+        assert hashlib.md5(text.encode()).hexdigest() == "35b83c8fbf5da7c5b1181be5a942f356"
+
     def test_explicit_three_strands(self):
         fam = closed_form_burau(3)
         as_str = [[[str(e) for e in row] for row in m.entries] for m in fam]
@@ -342,6 +353,21 @@ class TestRelations:
         with pytest.raises(ValueError, match="mismatched generator lists"):
             inverse_defect(f, b[::-1])
 
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_inverse_defect_rejects_unequal_lengths(self, numeric):
+        ctx = homogeneous_context(4, 1.0, 0.5, 0.6) if numeric else None
+        f = build_matrices(4, 2, ctx=ctx)
+        b = build_matrices(4, 2, ctx=ctx, inverse=True)
+        for fwd, inv in ((f, b[:1]), (f[:1], b), (f, [])):
+            with pytest.raises(ValueError):
+                inverse_defect(fwd, inv)
+
+    def test_empty_family_is_rejected(self):
+        with pytest.raises(ValueError, match="empty generator family"):
+            braid_relation_defect([])
+        with pytest.raises(ValueError, match="empty generator family"):
+            family_to_json([])
+
 
 def _at(entries, x0):
     """Laurent entries evaluated one by one at x = x0."""
@@ -488,6 +514,23 @@ class TestRoutes:
         ctx = homogeneous_context(max(int(n), 1), 1.0, 0.5, 0.6) if numeric else None
         with pytest.raises(ValueError, match="must be"):
             build_matrices(n, N, ctx=ctx)
+
+    @pytest.mark.parametrize("route, backend", [
+        ("rewrite", "laurent"), ("closed_form", "laurent"),
+        ("rewrite", "numeric"), ("direct", "numeric"), ("closed_form", "numeric"),
+    ])
+    def test_rejects_unknown_formula_on_every_route(self, route, backend):
+        ctx = homogeneous_context(3, 1.0, 0.5, 0.6) if backend == "numeric" else None
+        with pytest.raises(ValueError, match="formula must be"):
+            build_matrices(3, 1, route=route, backend=backend, ctx=ctx, formula="bogus")
+
+    def test_generator_rejects_unknown_variant(self, het2):
+        empty = WeightVector(het2)
+        for kwargs in ({"formula": "bogus"}, {"binomial": "bogus"}, {"formula": "series", "binomial": "bogus"}):
+            with pytest.raises(ValueError, match="must be"):
+                apply_braid_generator(1, empty, **kwargs)
+            with pytest.raises(ValueError, match="must be"):
+                sigma_weight_matrix(het2, 1, 1, **kwargs)
 
 
 @st.composite

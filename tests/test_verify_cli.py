@@ -200,6 +200,8 @@ class TestCliInvalidInput:
         ["matrix", "--n", "2", "--N", "1", "--labels", "[[1.0, NaN], [1.0, 0.5]]"],
         ["matrix", "--n", "3", "--N", "1", "--precision", "60"],
         ["word", "--n", "3", "--N", "1", "--q", "nan", "--word", "1"],
+        ["matrix", "--n", "3", "--N", "2", "--route", "direct", "--binomial", "multiset"],
+        ["word", "--n", "3", "--N", "-1", "--word", "1"],
     ])
     def test_exits_two(self, argv, capsys):
         try:

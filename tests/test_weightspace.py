@@ -1,5 +1,6 @@
 """Weight spaces, lowest-weight kernels, counting laws, exact nullspaces."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -201,7 +202,17 @@ class TestExactKernel:
                 ek = lowest_weight_kernel_exact(n, N)
                 assert len(ek.vectors) == lowest_weight_dimension(n, N)
 
-    @pytest.mark.parametrize("n, N", [(3, 2), (4, 2)])
+    def test_vectors_pinned(self):
+        # md5 of every kernel for n = 2..5, N = 0..4: pins the free columns
+        # and the primitive scaling, sign and shift of every ray
+        text = repr([
+            [[str(e) for e in v] for v in lowest_weight_kernel_exact(n, N).vectors]
+            for n in range(2, 6)
+            for N in range(5)
+        ])
+        assert hashlib.md5(text.encode()).hexdigest() == "9021c3c0909ab62291b761822329881b"
+
+    @pytest.mark.parametrize("n, N", [(3, 2), (4, 2), (4, 3)])
     def test_sympy_annihilation_and_rank(self, n, N):
         sp = pytest.importorskip("sympy")
         x = sp.Symbol("x")
@@ -257,6 +268,23 @@ class TestErrors:
         v = basis_state(mctx3, (1, 0, 0), other.sector)
         with pytest.raises(BraidoscError):
             coordinates(v, basis)
+
+    @pytest.mark.parametrize("N", [-1, 2.0, 1.5, True, None])
+    @pytest.mark.parametrize("fn", ["kernel_exact", "kernel", "monomials", "decomposition"])
+    def test_rejects_bad_level(self, fn, N, hctx3):
+        call = {
+            "kernel_exact": lambda: lowest_weight_kernel_exact(3, N),
+            "kernel": lambda: lowest_weight_kernel(hctx3, N),
+            "monomials": lambda: lowest_weight_monomials(hctx3, N),
+            "decomposition": lambda: verify_decomposition(hctx3, N),
+        }[fn]
+        with pytest.raises(ValueError, match="N must be"):
+            call()
+
+    @pytest.mark.parametrize("n", [1, 0, -2, 3.0, True])
+    def test_exact_kernel_rejects_bad_slot_count(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            lowest_weight_kernel_exact(n, 1)
 
     def test_dimension_mismatch_is_error_type(self):
         assert issubclass(DimensionMismatchError, Exception)
