@@ -12,9 +12,9 @@ matrices, computed here by two deliberately independent routes:
   the exchange relations.  Each O_{i-1} or O_{i+1} factor is either kept
   or turned into O_i, and all paths that keep the same numbers a and b
   carry one scalar, so the image of O**p is a closed double sum over
-  (a, b) with multiplicity C(p_{i-1}, a) C(p_{i+1}, b); one enumeration
-  feeds the numeric backend and the exact Laurent backend, where the
-  exchange factors are signs and powers of x.
+  (a, b) with multiplicity C(p_{i-1}, a) C(p_{i+1}, b); one integer table
+  of these terms per generator feeds the exact Laurent backend (signs and
+  powers of x) and every sector block of the numeric backend.
 
 Closed-form families (reduced Burau for level 1, a Lawrence-Krammer-Bigelow
 style family for level 2, and the one-marked-slot level-1 family) are
@@ -56,7 +56,6 @@ from .oscillator import (
 )
 from .weightspace import (
     _check_size,
-    coordinates,
     lowest_weight_monomials,
     monomial_exponents,
     operator_matrix,
@@ -260,23 +259,29 @@ class BasisElement:
         return {"sector": list(self.sector), "powers": list(self.powers)}
 
 
-def _rewrite_images(i, powers):
-    """Push braid generator i through the intertwiner monomial O**powers.
+def _rewrite_table(i, exps):
+    """Push braid generator i through every intertwiner monomial in ``exps``.
 
     Every path through the exchange relations that keeps a of the O_{i-1}
-    and b of the O_{i+1} factors, turning the others into O_i, carries the
-    same scalar, so the image is a double sum over (a, b).  Yields each
-    image monomial's powers, the counts of the five exchange factors (O_i,
-    O_{i-1} kept, O_{i-1} turned, O_{i+1} kept, O_{i+1} turned) and the
-    integer multiplicity C(p_{i-1}, a) C(p_{i+1}, b).
+    and b of the O_{i+1} factors of O**p, turning the others into O_i,
+    carries the same scalar, so the image of O**p is a double sum over
+    (a, b).  Returns int64 arrays with one entry per image term: row (the
+    image's position in ``exps``), column, the counts of the five exchange
+    factors (O_i, O_{i-1} kept, O_{i-1} turned, O_{i+1} kept, O_{i+1}
+    turned) as a 5 x terms array, and multiplicity C(p_{i-1}, a) C(p_{i+1}, b).
     """
-    p = (0, *powers, 0)  # p[k] is the power of O_k, with absent O_0 and O_n
-    left, mid, right = p[i - 1], p[i], p[i + 1]
-    for a in range(left + 1):
-        for b in range(right + 1):
-            image = (*p[:i - 1], a, mid + left - a + right - b, b, *p[i + 2:])
-            counts = (mid, a, left - a, b, right - b)
-            yield image[1:-1], counts, math.comb(left, a) * math.comb(right, b)
+    pos = {powers: k for k, powers in enumerate(exps)}
+    terms = []
+    for col, powers in enumerate(exps):
+        p = (0, *powers, 0)  # p[k] is the power of O_k, with absent O_0 and O_n
+        left, mid, right = p[i - 1], p[i], p[i + 1]
+        for a in range(left + 1):
+            for b in range(right + 1):
+                image = (*p[:i - 1], a, mid + left - a + right - b, b, *p[i + 2:])
+                mult = math.comb(left, a) * math.comb(right, b)
+                terms.append((pos[image[1:-1]], col, mid, a, left - a, b, right - b, mult))
+    table = np.array(terms, np.int64).T
+    return table[0], table[1], table[2:7], table[7]
 
 
 def _exchange_factors(ctx, new_sector, i, inverse):
@@ -284,7 +289,7 @@ def _exchange_factors(ctx, new_sector, i, inverse):
 
     With x_k = q**(-gamma_k) (q -> 1/q for the inverse) and
     g_k = [gamma_k]**(1/2) on slot k of ``new_sector``, in the count order
-    of _rewrite_images.
+    of _rewrite_table.
     """
     xi, xi1 = (ctx.qpow(-ctx.labels[new_sector[k]].gamma, inverse) for k in (i - 1, i))
     g = (1.0, *(ctx.sqrt_qn[rep] for rep in new_sector), 1.0)  # g[k] on 1-based slot k
@@ -370,34 +375,30 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
     exact = backend == "laurent"
     sectors = [tuple(range(n))] if exact else ctx.distinct_sectors()
     exps = monomial_exponents(n, N)
-    pos = {powers: k for k, powers in enumerate(exps)}
-    offset = {sec: k * len(exps) for k, sec in enumerate(sectors)}
+    d = len(exps)
     basis = monomial_basis_elements(n, N, sectors)
     dim = len(basis)
+    number = {sec: k for k, sec in enumerate(sectors)}
     sign = -1 if inverse else 1
     mats = []
     for i in range(1, n):
+        row, col, counts, mult = _rewrite_table(i, exps)
         if exact:
             # each O_i gives -x**2, each O_{i-1} or O_{i+1} turned into O_i gives x
-            triplets = [
-                (sign * (2 * counts[0] + counts[2] + counts[4]), pos[image], col,
-                 (-1) ** counts[0] * mult)
-                for col, powers in enumerate(exps)
-                for image, counts, mult in _rewrite_images(i, powers)
-            ]
-            entries = _ExactMatrix((dim, dim), *np.array(triplets, np.int64).T).to_laurent()
+            power = sign * (2 * counts[0] + counts[2] + counts[4])
+            entries = _ExactMatrix((dim, dim), power, row, col, (-1) ** counts[0] * mult).to_laurent()
         else:
             entries = np.zeros((dim, dim))
-            for sec in sectors:
+            for s, sec in enumerate(sectors):
                 new_sec = ctx.swapped_perm(sec, i)
                 factors = _exchange_factors(ctx, new_sec, i, inverse)
+                # powers by Python pow, gathered by count: np.power can differ in the last bit
+                table = np.array([[f ** c for c in range(N + 1)] for f in factors])
                 la, lb = ctx.labels[sec[i - 1]], ctx.labels[sec[i]]
                 # homogeneous labels keep the constant vacuum factor in the phase
                 vacuum = 1.0 if renormalize else ctx.qpow(-(la.c * lb.gamma + lb.c * la.gamma), inverse)
-                for col, powers in enumerate(exps, offset[sec]):
-                    for image, counts, mult in _rewrite_images(i, powers):
-                        value = mult * math.prod(map(pow, factors, counts)) * vacuum
-                        entries[offset[new_sec] + pos[image], col] = value
+                value = mult * math.prod(table[k, counts[k]] for k in range(5)) * vacuum
+                entries[number[new_sec] * d + row, s * d + col] = value
         phase = Phase(sign) if (exact or renormalize) else Phase()
         mats.append(
             BraidMatrix(
@@ -425,9 +426,7 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
     per_sector = {}
     for k, sec in enumerate(sectors):
         lw = lowest_weight_monomials(ctx, N, sec, tols)
-        states = weight_basis(ctx, N, sec)
-        V = np.array([coordinates(v, states) for v in lw.vectors]).T
-        per_sector[sec] = (k * d, states, V, lw.gram)
+        per_sector[sec] = (k * d, weight_basis(ctx, N, sec), lw.coords, lw.gram)
     if renormalize:
         la = ctx.labels[0]
         common = float(ctx.qpow(-2 * la.c * la.gamma, inverse))
@@ -507,6 +506,8 @@ def build_matrices(
     _check_formula(formula)
     if backend is None:
         backend = "numeric" if ctx is not None else "laurent"
+    if backend not in ("laurent", "numeric"):
+        raise ValueError("backend must be 'laurent' or 'numeric', got %r" % (backend,))
     if backend == "laurent":
         if ctx is not None and not ctx.is_homogeneous():
             raise ValueError("exact backend requires homogeneous labels")
@@ -1051,9 +1052,10 @@ def lmat_eq(A, B):
 def braid_relation_defect(mats):
     """Worst braid/far-commutation defect for a generator family.
 
-    For numeric families returns the largest relative residual; for
-    Laurent families returns 0.0 on exact equality and otherwise the
-    largest absolute difference of the two sides at x = 0.7.
+    For numeric families returns the largest relative residual.  Laurent
+    families give 0.0 on exact equality; otherwise the largest absolute
+    difference of the two sides at x = 0.7, or where that is zero the
+    largest absolute coefficient of their difference, so always > 0.
     """
     if not mats:
         raise ValueError("empty generator family")
@@ -1074,7 +1076,13 @@ def _defect(lhs, rhs):
     if isinstance(lhs, _ExactMatrix):
         if lhs == rhs:
             return 0.0
-        return float(np.max(np.abs(lhs.at(0.7) - rhs.at(0.7))))
+        at = float(np.max(np.abs(lhs.at(0.7) - rhs.at(0.7))))
+        if at:
+            return at
+        # unequal sides can agree at x = 0.7, but not in every coefficient
+        mine, theirs = (lhs.k, lhs.r, lhs.c, lhs.v), (rhs.k, rhs.r, rhs.c, -rhs.v)
+        diff = _ExactMatrix(lhs.shape, *map(np.concatenate, zip(mine, theirs)))
+        return float(np.max(np.abs(diff.v)))
     return lhs.max_diff(rhs) / max(lhs.max_abs(), rhs.max_abs(), 1e-300)
 
 
@@ -1105,6 +1113,8 @@ def evaluate_word(word, forward, inverse):
     returned pair is (entries, phase) with the leftmost letter acting
     first, i.e. the product M(w_L) ... M(w_1).
     """
+    if not forward:
+        raise ValueError("empty generator family")
     by_gen_f = {m.generator: m for m in forward}
     by_gen_i = {m.generator: m for m in inverse} if inverse else {}
     operands = {}

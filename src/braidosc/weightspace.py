@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -168,9 +168,10 @@ def lowering_matrix(ctx, N, sector=None):
 class LowestWeightBasis:
     """Basis of the lowest-weight subspace at one level, single sector.
 
-    ``monomials`` lists the intertwiner exponent tuples when the basis was
-    built from monomials; the kernel route leaves it None and returns an
-    orthonormal family instead (gram = identity).
+    ``coords`` holds the ``vectors`` as columns over the states of
+    ``weight_basis(ctx, N, sector)``.  The kernel route returns an
+    orthonormal family (gram = identity), the monomial route the
+    unnormalized monomial vectors in ``monomial_exponents`` order.
     """
 
     ctx: object
@@ -178,8 +179,7 @@ class LowestWeightBasis:
     sector: tuple
     vectors: list
     gram: np.ndarray
-    monomials: list | None = None
-    residuals: list = field(default_factory=list)
+    coords: np.ndarray
 
 
 def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
@@ -195,7 +195,7 @@ def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
     expected = lowest_weight_dimension(ctx.n, N)
     if N == 0:
         vec = vacuum(ctx, sector)
-        return LowestWeightBasis(ctx, 0, sector, [vec], np.eye(1), None)
+        return LowestWeightBasis(ctx, 0, sector, [vec], np.eye(1), np.ones((1, 1)))
     A, dom, _ = lowering_matrix(ctx, N, sector)
     _, svals, vt = np.linalg.svd(A)
     cut = tols.sv_cutoff * (svals[0] if len(svals) else 1.0)
@@ -207,7 +207,7 @@ def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
             % (null.shape[0], expected, ctx.n, N)
         )
     vectors = [from_coordinates(ctx, row, dom) for row in null]
-    return LowestWeightBasis(ctx, N, sector, vectors, np.eye(expected), None)
+    return LowestWeightBasis(ctx, N, sector, vectors, np.eye(expected), null.T)
 
 
 def monomial_vector(ctx, powers, sector=None):
@@ -242,7 +242,7 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     eigs = np.linalg.eigvalsh(gram)
     if len(eigs) and eigs[0] <= tols.sv_cutoff * max(eigs[-1], 1.0):
         raise BraidoscError("monomial Gram matrix is numerically singular")
-    return LowestWeightBasis(ctx, N, sector, vectors, gram, expts, residuals.tolist())
+    return LowestWeightBasis(ctx, N, sector, vectors, gram, V)
 
 
 def span_residual(vectors, others):
@@ -323,8 +323,7 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
     expected_dims = []
     worst = 0.0
     for j in range(N + 1):
-        lw = lowest_weight_monomials(ctx, j, sector, tols)
-        U = _coordinate_matrix(lw.vectors, levels[j])
+        U = lowest_weight_monomials(ctx, j, sector, tols).coords
         for R in raising[j:]:
             U = R @ U
         lam = qn_total * (c_tot + j)
@@ -380,54 +379,46 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
 class ExactLoweringKernel:
     """Exact lowest-weight kernel in rescaled occupation coordinates.
 
-    The lowering matrix is taken in the per-slot basis rescaled by
-    sqrt([gamma]**m m!), where its entries become m_j * x**j times a
-    global unit that cannot affect the kernel; kernel vectors are
-    primitive Laurent coordinate rows over the ascending-lex occupation
-    list ``occupations``.
+    In the per-slot basis rescaled by sqrt([gamma]**m m!), row ``low`` of
+    the lowering map W_N -> W_{N-1} holds (low_j + 1) x**j in column
+    ``low + e_j`` for each 1-based slot j, times a global unit that cannot
+    affect the kernel.  Kernel vectors are primitive Laurent coordinate
+    rows over the ascending-lex occupation list ``occupations``.
     """
 
     n: int
     N: int
     occupations: list
-    matrix: list
     vectors: list
 
 
-def _exact_lowering_matrix(n, N):
-    rows = compositions(N - 1, n)
-    cols = compositions(N, n)
-    ridx = {occ: i for i, occ in enumerate(rows)}
-    A = [[L_ZERO for _ in cols] for _ in rows]
-    for cix, occ in enumerate(cols):
-        for j in range(n):
-            if occ[j] == 0:
-                continue
-            low = list(occ)
-            low[j] -= 1
-            A[ridx[tuple(low)]][cix] = Laurent.x(j + 1, occ[j])
-    return A, rows, cols
+def _lowering_row(low, index):
+    """The n nonzeros of row ``low`` of the rescaled lowering map.
+
+    Pairs (column position in ``index``, entry), slot by slot; the last
+    pair is the pivot (low_n + 1) x**n in column ``low + e_n``.
+    """
+    return [
+        (index[low[:j] + (low[j] + 1,) + low[j + 1:]], Laurent.x(j + 1, low[j] + 1))
+        for j in range(len(low))
+    ]
 
 
-def _exact_nullspace(A, rows, cols):
-    """Right kernel of the exact lowering matrix by back-substitution.
+def _exact_nullspace(rows, occupations):
+    """Right kernel of the exact lowering map by back-substitution.
 
-    Row ``low`` holds (low_n + 1) x**n in column ``low + e_n``, so the
-    columns with an empty last slot are free and every other column is
-    solved from row ``occ - e_n`` once the columns with a smaller last
+    ``rows`` holds every row from _lowering_row.  The columns with an
+    empty last slot are free, and every other column ``occ`` is solved
+    from its pivot row ``occ - e_n`` once the columns with a smaller last
     slot are known; the pivot is a monomial and inverts exactly.
     """
-    ridx = {occ: i for i, occ in enumerate(rows)}
-    free = [c for c, occ in enumerate(cols) if occ[-1] == 0]
-    pivots = sorted((c for c, occ in enumerate(cols) if occ[-1]), key=lambda c: cols[c][-1])
     solve = []
-    for c in pivots:
-        row = A[ridx[cols[c][:-1] + (cols[c][-1] - 1,)]]
-        others = [(k, a) for k, a in enumerate(row) if a and k != c]
-        solve.append((c, others, -row[c] ** -1))
+    for row in sorted(rows, key=lambda row: occupations[row[-1][0]][-1]):
+        *others, (c, pivot) = row
+        solve.append((c, others, -pivot ** -1))
     basis = []
-    for fc in free:
-        vec = [L_ZERO] * len(cols)
+    for fc in (c for c, occ in enumerate(occupations) if occ[-1] == 0):
+        vec = [L_ZERO] * len(occupations)
         vec[fc] = L_ONE
         for c, others, inv in solve:
             vec[c] = sum((a * vec[k] for k, a in others), L_ZERO) * inv
@@ -471,9 +462,10 @@ def lowest_weight_kernel_exact(n, N):
     _check_size("N", N, 0)
     occs = compositions(N, n)
     if N == 0:
-        return ExactLoweringKernel(n, 0, occs, [], [[L_ONE]])
-    A, rows, cols = _exact_lowering_matrix(n, N)
-    null = _exact_nullspace(A, rows, cols)
+        return ExactLoweringKernel(n, 0, occs, [[L_ONE]])
+    index = {occ: k for k, occ in enumerate(occs)}
+    rows = [_lowering_row(low, index) for low in compositions(N - 1, n)]
+    null = _exact_nullspace(rows, occs)
     expected = lowest_weight_dimension(n, N)
     if len(null) != expected:
         raise DimensionMismatchError(
@@ -481,10 +473,7 @@ def lowest_weight_kernel_exact(n, N):
         )
     vectors = [_clear_denominators(v) for v in null]
     for vec in vectors:
-        for row in A:
-            acc = L_ZERO
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            if not acc.is_zero():
+        for row in rows:
+            if sum((a * vec[k] for k, a in row), L_ZERO):
                 raise BraidoscError("exact kernel vector fails A v = 0")
-    return ExactLoweringKernel(n, N, occs, A, vectors)
+    return ExactLoweringKernel(n, N, occs, vectors)

@@ -345,6 +345,19 @@ class TestRelations:
         got = inverse_defect(f, b)
         assert want > 0.0 and got == pytest.approx(want, rel=1e-12)
 
+    def test_exact_defect_is_positive_where_sides_agree_at_sample_point(self):
+        # F (G + G E) = 1 + E, and 10 x - 7 rounds to 0.0 at x = 0.7
+        f = build_matrices(3, 1)
+        E = [[Laurent({1: 10, 0: -7}), L_ZERO], [L_ZERO, L_ZERO]]
+        bad = []
+        for m in build_matrices(3, 1, inverse=True):
+            GE = lmat_mul(m.entries, E)
+            entries = [[a + b for a, b in zip(r, s)] for r, s in zip(m.entries, GE)]
+            bad.append(dataclasses.replace(m, entries=entries))
+        word, _ = evaluate_word([1, -1], f, bad)
+        assert [[str(e) for e in row] for row in word] == [["10*x-6", "-10+7*x^-1"], ["0", "1"]]
+        assert inverse_defect(f, bad) == 10.0
+
     def test_inverse_defect_rejects_bad_pairs(self):
         f = build_matrices(4, 2)
         b = build_matrices(4, 2, inverse=True)
@@ -421,7 +434,10 @@ def test_exact_algebra_matches_naive_product(pair, same):
     if lmat_eq(lhs, rhs):
         assert defect == 0.0
     else:
-        assert defect == pytest.approx(np.max(np.abs(_at(lhs, 0.7) - _at(rhs, 0.7))), rel=1e-12)
+        at = np.max(np.abs(_at(lhs, 0.7) - _at(rhs, 0.7)))
+        assert defect > 0.0
+        if at:
+            assert defect == pytest.approx(at, rel=1e-12)
 
 
 def test_exact_algebra_cancels_across_exponents():
@@ -461,6 +477,17 @@ class TestRoutes:
                     assert a.basis == b.basis
                     scale = np.max(np.abs(a.entries))
                     assert np.max(np.abs(a.entries - b.entries)) < 1e-9 * scale
+
+    def test_exact_rewrite_pinned(self):
+        # md5 of every exact rewrite family for n = 2..6, N = 0..4, both directions
+        text = repr([
+            [[str(e) for e in row] for row in m.entries]
+            for n in range(2, 7)
+            for N in range(5)
+            for inverse in (False, True)
+            for m in build_matrices(n, N, inverse=inverse)
+        ])
+        assert hashlib.md5(text.encode()).hexdigest() == "057dce44e55183fc580c33d2f3af60d6"
 
     def test_direct_series_formula(self, mctx3):
         rw = build_matrices(3, 2, route="rewrite", ctx=mctx3)
@@ -523,6 +550,16 @@ class TestRoutes:
         ctx = homogeneous_context(3, 1.0, 0.5, 0.6) if backend == "numeric" else None
         with pytest.raises(ValueError, match="formula must be"):
             build_matrices(3, 1, route=route, backend=backend, ctx=ctx, formula="bogus")
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: build_matrices(3, 1, backend="bogus", ctx=homogeneous_context(3, 1.0, 0.5, 0.6)),
+         "backend must be"),
+        (lambda: build_matrices(3, 1, backend="bogus"), "backend must be"),
+        (lambda: evaluate_word([], [], None), "empty generator family"),
+    ], ids=["backend-with-context", "backend-without-context", "word-on-empty-family"])
+    def test_rejects_invalid_input(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_generator_rejects_unknown_variant(self, het2):
         empty = WeightVector(het2)

@@ -14,7 +14,8 @@ from braidosc.oscillator import (
     homogeneous_context,
     marked_context,
 )
-from braidosc.scalars import DEFAULT_TOLS, Tolerances, close
+from braidosc import weightspace
+from braidosc.scalars import DEFAULT_TOLS, L_ONE, Tolerances, close
 from braidosc.weightspace import (
     DimensionMismatchError,
     compositions,
@@ -157,6 +158,16 @@ class TestMonomialBasis:
             lowest_weight_monomials(mctx3, 2, None, tols)
 
 
+@pytest.mark.parametrize("build", [lowest_weight_kernel, lowest_weight_monomials])
+def test_coords_are_the_vectors(build, mctx3):
+    for N in range(3):
+        for sector in mctx3.distinct_sectors():
+            lw = build(mctx3, N, sector)
+            states = weight_basis(mctx3, N, sector)
+            want = np.array([coordinates(v, states) for v in lw.vectors]).T
+            assert lw.coords.shape == want.shape and np.array_equal(lw.coords, want)
+
+
 class TestDecomposition:
     def test_three_slots_level_three(self, hctx3):
         rep = verify_decomposition(hctx3, 3, None, DEFAULT_TOLS)
@@ -223,11 +234,32 @@ class TestExactKernel:
                 sp.Integer(0),
             )
 
+        # row low of the rescaled lowering map: (low_j + 1) x**(j + 1) in column low + e_j
+        rows, cols = compositions(N - 1, n), compositions(N, n)
+        A = sp.zeros(len(rows), len(cols))
+        for r, low in enumerate(rows):
+            for j in range(n):
+                up = low[:j] + (low[j] + 1,) + low[j + 1:]
+                A[r, cols.index(up)] = (low[j] + 1) * x ** (j + 1)
         ek = lowest_weight_kernel_exact(n, N)
-        A = sp.Matrix([[expr(e) for e in row] for row in ek.matrix])
+        assert ek.occupations == cols
         K = sp.Matrix([[expr(e) for e in vec] for vec in ek.vectors]).T
         assert (A * K).expand() == sp.zeros(A.rows, K.cols)
         assert K.rank() == lowest_weight_dimension(n, N) == math.comb(n + N - 2, n - 2)
+
+    def test_corrupted_vector_fails_annihilation(self, monkeypatch):
+        # one entry of one primitive kernel vector moves by 1 after the solve
+        clear = weightspace._clear_denominators
+        seen = []
+
+        def corrupt_first(vec):
+            seen.append(vec)
+            out = clear(vec)
+            return [out[0] + L_ONE] + out[1:] if len(seen) == 1 else out
+
+        monkeypatch.setattr(weightspace, "_clear_denominators", corrupt_first)
+        with pytest.raises(BraidoscError, match="fails A v = 0"):
+            lowest_weight_kernel_exact(4, 2)
 
     def test_kernel_matches_numeric_span(self):
         # exact coordinates, evaluated at a numeric point, land in the
