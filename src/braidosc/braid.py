@@ -5,9 +5,10 @@ transposed R-matrix of the oscillator Hopf algebra, exchanging the two
 slot labels.  Restricted to a lowest-weight subspace they yield finite
 matrices, computed here by two deliberately independent routes:
 
-* ``direct``: expand basis vectors in tensor coordinates, apply the
-  two-slot transition formula, and re-express the image through a Gram
-  solve (numeric backend only);
+* ``direct``: expand basis vectors in tensor coordinates (occupation
+  arrays), apply the two-slot transition formula as a matrix built by
+  index arithmetic, and re-express the image through a Gram solve
+  (numeric backend only);
 * ``rewrite``: commute the generator through intertwiner monomials with
   the exchange relations.  Each O_{i-1} or O_{i+1} factor is either kept
   or turned into O_i, and all paths that keep the same numbers a and b
@@ -43,23 +44,15 @@ from .scalars import (
     L_ZERO,
     Laurent,
     Phase,
-)
-from .oscillator import (
-    BraidoscError,
-    Context,
-    RepLabel,
-    TensorState,
-    WeightVector,
-    apply_coproduct,
-    basis_state,
-    marked_context,
-)
-from .weightspace import (
     _check_size,
+)
+from .oscillator import BraidoscError, _act
+from .weightspace import (
+    _occupations,
+    _operator_block,
+    _weight_matrix,
     lowest_weight_monomials,
     monomial_exponents,
-    operator_matrix,
-    weight_basis,
 )
 
 
@@ -70,58 +63,39 @@ class GramSolveError(BraidoscError):
 # ---------------------------------------------------------------------------
 # two-slot transition amplitudes (tensor-coordinate action)
 
-def _transition_weight(ctx, ia, ib, inverse):
-    """Per-step amplitude of the exponential part of the R-matrix.
-
-    Written as (q - 1/q) sqrt([gamma_a][gamma_b]) q**((gamma_b-gamma_a)/2)
-    so that the sign for q on either side of 1 comes out automatically;
-    its square is (1 - q**(-2 gamma_a)) (q**(2 gamma_b) - 1).
-    """
-    qq = ctx.qpow(1, inverse)
-    return (
-        (qq - 1 / qq)
-        * ctx.sqrt_qn[ia]
-        * ctx.sqrt_qn[ib]
-        * ctx.qpow((ctx.labels[ib].gamma - ctx.labels[ia].gamma) / 2, inverse)
-    )
-
-
-def _pr_closed(ctx, st, coeff, g, inverse, binomial, out):
+def _braid_closed(ctx, g, inverse, binomial, perm, occ):
     """Closed-form braid action on slots g, g+1 (0-based).
 
     Forward: R-matrix on the pair, then swap.  Inverse: swap first, then
     the q -> 1/q R-matrix on the swapped pair (the two orders agree with
-    sigma sigma^{-1} = 1; swapping last with q -> 1/q would not).
+    sigma sigma^{-1} = 1; swapping last with q -> 1/q would not).  k quanta
+    move from the label on slot a to the one on slot b with amplitude w**k.
     """
-    if inverse:
-        first, second = st.perm[g + 1], st.perm[g]
-        fm, sm = st.occ[g + 1], st.occ[g]
+    a, b = (g + 1, g) if inverse else (g, g + 1)
+    lf = ctx.labels[perm[a]]
+    ls = ctx.labels[perm[b]]
+    src = np.repeat(np.arange(len(occ)), occ[:, a] + 1)
+    # k counts the terms of each source row
+    k = np.arange(len(src)) - np.searchsorted(src, src)
+    f, s = occ[src, a], occ[src, b]
+    pref = ctx.qpow(-((f + lf.c) * ls.gamma + (s + ls.c) * lf.gamma), inverse)
+    fks = zip(f.tolist(), k.tolist(), s.tolist())
+    if binomial == "series":
+        bf = np.sqrt([math.comb(m, j) * math.comb(mp + j, mp) for m, j, mp in fks])
     else:
-        first, second = st.perm[g], st.perm[g + 1]
-        fm, sm = st.occ[g], st.occ[g + 1]
-    lf = ctx.labels[first]
-    ls = ctx.labels[second]
-    pref = ctx.qpow(-((fm + lf.c) * ls.gamma + (sm + ls.c) * lf.gamma), inverse)
-    w = _transition_weight(ctx, first, second, inverse)
-    new_perm = ctx.swapped_perm(st.perm, g + 1)
-    wk = 1.0
-    for k in range(fm + 1):
-        if binomial == "series":
-            bf = math.sqrt(math.comb(fm, k) * math.comb(sm + k, sm))
-        else:
-            bf = 1.0 if k == 0 else math.sqrt(math.comb(fm + k - 1, fm - 1) * math.comb(sm + k, sm))
-        occ = list(st.occ)
-        if inverse:
-            occ[g] = fm - k
-            occ[g + 1] = sm + k
-        else:
-            occ[g] = sm + k
-            occ[g + 1] = fm - k
-        out.add_term(TensorState(new_perm, tuple(occ)), coeff * pref * bf * wk)
-        wk = wk * w
+        bf = np.sqrt([math.comb(m + j - 1, m - 1) * math.comb(mp + j, mp) if j else 1 for m, j, mp in fks])
+    # (q - 1/q) sqrt([gamma_a][gamma_b]) q**((gamma_b - gamma_a)/2), signed for q on either side
+    # of 1 by itself; its square is (1 - q**(-2 gamma_a)) (q**(2 gamma_b) - 1)
+    qq = ctx.qpow(1, inverse)
+    w = (qq - 1 / qq) * ctx.sqrt_qn[perm[a]] * ctx.sqrt_qn[perm[b]]
+    w *= ctx.qpow((ls.gamma - lf.gamma) / 2, inverse)
+    wk = np.cumprod([1.0] + [w] * int(occ[:, a].max(initial=0)))
+    rows = occ[src]
+    rows[:, b], rows[:, a] = f - k, s + k
+    return src, ctx.swapped_perm(perm, g + 1), rows, pref * bf * wk[k]
 
 
-def _pr_series(ctx, st, coeff, g, inverse, out):
+def _braid_series(ctx, g, inverse, perm, occ):
     """Braid action by literal term-by-term series expansion.
 
     Walks the R-matrix exponential one ladder application at a time and
@@ -130,37 +104,41 @@ def _pr_series(ctx, st, coeff, g, inverse, out):
     The swap happens after the series (forward) or before it (inverse),
     matching the closed form.
     """
-    if inverse:
-        first, second = st.perm[g + 1], st.perm[g]
-        fm, sm = st.occ[g + 1], st.occ[g]
-    else:
-        first, second = st.perm[g], st.perm[g + 1]
-        fm, sm = st.occ[g], st.occ[g + 1]
+    a, b = (g + 1, g) if inverse else (g, g + 1)
+    first, second = perm[a], perm[b]
     lf = ctx.labels[first]
     ls = ctx.labels[second]
     qq = ctx.qpow(1, inverse)
-    new_perm = ctx.swapped_perm(st.perm, g + 1)
-    running = coeff
-    cf, cs = fm, sm
-    for k in range(fm + 1):
+    src, running, cf, cs, terms = np.arange(len(occ)), np.ones(len(occ)), occ[:, a], occ[:, b], []
+    for k in range(int(cf.max(initial=0)) + 1):
         if k:
+            live = cf > 0
+            src, running, cf, cs = src[live], running[live], cf[live], cs[live]
             step = (
                 (qq - 1 / qq)
-                * ctx.qpow(lf.gamma / 2, inverse) * ctx.sqrt_qn[first] * math.sqrt(cf)
-                * ctx.qpow(-ls.gamma / 2, inverse) * ctx.sqrt_qn[second] * math.sqrt(cs + 1)
+                * ctx.qpow(lf.gamma / 2, inverse) * ctx.sqrt_qn[first] * np.sqrt(cf)
+                * ctx.qpow(-ls.gamma / 2, inverse) * ctx.sqrt_qn[second] * np.sqrt(cs + 1)
             )
             running = running * step / k
-            cf -= 1
-            cs += 1
+            cf, cs = cf - 1, cs + 1
         diag = ctx.qpow(-((cf + lf.c) * ls.gamma + (cs + ls.c) * lf.gamma), inverse)
-        occ = list(st.occ)
-        if inverse:
-            occ[g] = cf
-            occ[g + 1] = cs
-        else:
-            occ[g] = cs
-            occ[g + 1] = cf
-        out.add_term(TensorState(new_perm, tuple(occ)), running * diag)
+        terms.append((src, cf, cs, running * diag))
+    src, cf, cs, amp = map(np.concatenate, zip(*terms))
+    rows = occ[src]
+    rows[:, b], rows[:, a] = cf, cs
+    return src, ctx.swapped_perm(perm, g + 1), rows, amp
+
+
+def _braid_op(ctx, i, inverse, formula, binomial="series"):
+    """Generator i (1-based) as a function of (sector, occupation rows)."""
+    if not 1 <= i <= ctx.n - 1:
+        raise ValueError("generator index out of range")
+    _check_formula(formula)
+    if binomial not in ("series", "multiset"):
+        raise ValueError("binomial must be 'series' or 'multiset', got %r" % (binomial,))
+    if formula == "closed":
+        return lambda perm, occ: _braid_closed(ctx, i - 1, inverse, binomial, perm, occ)
+    return lambda perm, occ: _braid_series(ctx, i - 1, inverse, perm, occ)
 
 
 def apply_braid_generator(i, vec, *, inverse=False, formula="closed", binomial="series"):
@@ -170,20 +148,7 @@ def apply_braid_generator(i, vec, *, inverse=False, formula="closed", binomial="
     ``formula`` picks the closed two-slot amplitude or the literal series
     expansion; ``binomial`` selects the closed-form variant.
     """
-    ctx = vec.ctx
-    if not 1 <= i <= ctx.n - 1:
-        raise ValueError("generator index out of range")
-    _check_formula(formula)
-    if binomial not in ("series", "multiset"):
-        raise ValueError("binomial must be 'series' or 'multiset', got %r" % (binomial,))
-    g = i - 1
-    out = WeightVector(ctx)
-    for st, co in vec.terms.items():
-        if formula == "closed":
-            _pr_closed(ctx, st, co, g, inverse, binomial, out)
-        else:
-            _pr_series(ctx, st, co, g, inverse, out)
-    return out
+    return _act(_braid_op(vec.ctx, i, inverse, formula, binomial), vec)
 
 
 def _check_formula(formula):
@@ -193,12 +158,8 @@ def _check_formula(formula):
 
 def sigma_weight_matrix(ctx, N, i, *, inverse=False, formula="closed", binomial="series"):
     """Matrix of a braid generator on the full weight space, all sectors."""
-    basis = weight_basis(ctx, N, "all")
-    return operator_matrix(
-        lambda v: apply_braid_generator(i, v, inverse=inverse, formula=formula, binomial=binomial),
-        basis,
-        basis,
-    )
+    _check_size("N", N, 0)
+    return _weight_matrix(_braid_op(ctx, i, inverse, formula, binomial), ctx, N, N)
 
 
 def compare_transition_formulas(ctx, m_max=3):
@@ -211,36 +172,29 @@ def compare_transition_formulas(ctx, m_max=3):
     """
     if ctx.n != 2:
         raise ValueError("transition comparison uses a two-slot context")
-    first_diff = None
-    k1_dev = 0.0
-    closed_dev = 0.0
-    for m in range(m_max + 1):
-        for mp in range(m_max + 1):
-            start = basis_state(ctx, (m, mp))
-            by_series = apply_braid_generator(1, start, formula="series")
-            by_closed = apply_braid_generator(1, start, formula="closed", binomial="series")
-            by_multiset = apply_braid_generator(1, start, formula="closed", binomial="multiset")
-            closed_dev = max(closed_dev, (by_series - by_closed).norm() / by_series.norm())
-            for k in range(m + 1):
-                occ = (mp + k, m - k)
-                st = TensorState(ctx.swapped_perm(ctx.identity_perm(), 1), occ)
-                sv = by_series.terms.get(st, 0.0)
-                pv = by_multiset.terms.get(st, 0.0)
-                # relative deviation: amplitudes are unbounded in the labels
-                dev = abs(float(sv - pv)) / max(1.0, abs(float(sv)))
-                if k <= 1:
-                    k1_dev = max(k1_dev, dev)
-                elif dev > 1e-9 and first_diff is None:
-                    first_diff = {
-                        "input_occ": (m, mp),
-                        "k": k,
-                        "output_occ": occ,
-                        "series": float(sv),
-                        "multiset": float(pv),
-                    }
+    _check_size("m_max", m_max, 0)
+    perm = ctx.identity_perm()
+    occ = np.array([(m, mp) for m in range(m_max + 1) for mp in range(m_max + 1)])
+    src, _, rows, closed = _braid_closed(ctx, 0, False, "series", perm, occ)
+    multiset = _braid_closed(ctx, 0, False, "multiset", perm, occ)[3]
+    # closed-form terms run by input and then k; put the series terms in that order
+    s_src, _, s_rows, series = _braid_series(ctx, 0, False, perm, occ)
+    series = series[np.lexsort((s_rows[:, 0], s_src))]
+    k = rows[:, 0] - occ[src, 1]
+    # relative deviation: amplitudes are unbounded in the labels
+    dev = np.abs(series - multiset) / np.maximum(1.0, np.abs(series))
+    t = next(iter(np.flatnonzero((k >= 2) & (dev > 1e-9))), None)
+    first_diff = None if t is None else {
+        "input_occ": tuple(occ[src[t]].tolist()),
+        "k": int(k[t]),
+        "output_occ": tuple(rows[t].tolist()),
+        "series": float(series[t]),
+        "multiset": float(multiset[t]),
+    }
+    closed_dev = np.sqrt(np.bincount(src, (series - closed) ** 2) / np.bincount(src, series ** 2))
     return {
-        "k_le_1_deviation": float(k1_dev),
-        "series_vs_closed_deviation": float(closed_dev),
+        "k_le_1_deviation": float(dev[k <= 1].max()),
+        "series_vs_closed_deviation": float(closed_dev.max()),
         "first_k_ge_2_difference": first_diff,
     }
 
@@ -422,26 +376,24 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
     sectors = ctx.distinct_sectors()
     basis = monomial_basis_elements(n, N, sectors)
     d = len(monomial_exponents(n, N))
-    # per sector: row offset, weight basis, monomial coordinates V, Gram V^T V
+    rows = _occupations(N, n)
+    # per sector: row offset, monomial coordinates V, Gram V^T V
     per_sector = {}
     for k, sec in enumerate(sectors):
         lw = lowest_weight_monomials(ctx, N, sec, tols)
-        per_sector[sec] = (k * d, weight_basis(ctx, N, sec), lw.coords, lw.gram)
+        per_sector[sec] = (k * d, lw.coords, lw.gram)
     if renormalize:
         la = ctx.labels[0]
         common = float(ctx.qpow(-2 * la.c * la.gamma, inverse))
     mats = []
     for i in range(1, n):
+        op = _braid_op(ctx, i, inverse, formula)
         entries = np.zeros((len(basis), len(basis)))
         worst = 0.0
         for sec in sectors:
-            c0, states, V, _ = per_sector[sec]
-            r0, tstates, tV, tgram = per_sector[ctx.swapped_perm(sec, i)]
-            S = operator_matrix(
-                lambda v: apply_braid_generator(i, v, inverse=inverse, formula=formula),
-                states,
-                tstates,
-            )
+            c0, V, _ = per_sector[sec]
+            target, S = _operator_block(op, sec, rows, rows)
+            r0, tV, tgram = per_sector[target]
             image = S @ V
             try:
                 coeffs = np.linalg.solve(tgram, tV.T @ image)
@@ -546,6 +498,7 @@ def closed_form_burau(n, inverse=False):
     intertwiner on the vacuum): w_k -> -x**2 w_k, w_{k +- 1} gains x w_k,
     everything else fixed.
     """
+    _check_size("n", n, 2)
     xx = Laurent.x(-1) if inverse else Laurent.x(1)
     basis = monomial_basis_elements(n, 1, [tuple(range(n))])
     mats = []
@@ -616,6 +569,7 @@ def closed_form_lkb(n, inverse=False):
     Basis in word order w_{1,1}, w_{1,2}, ..., matching the monomial
     exponent order of the rewrite route.
     """
+    _check_size("n", n, 2)
     xx = Laurent.x(-1) if inverse else Laurent.x(1)
     pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
     pidx = {p: k for k, p in enumerate(pairs)}
@@ -788,6 +742,7 @@ def unreduced_burau(n, inverse=False):
     Generator i has the 2x2 block [[1-t, t], [1, 0]] at slots (i, i+1);
     the inverse flag substitutes t -> 1/t.
     """
+    _check_size("n", n, 2)
     t = Laurent.x(-2) if inverse else Laurent.x(2)
     mats = []
     for i in range(1, n):
@@ -808,6 +763,7 @@ def reduced_burau_reference(n):
     bidiagonal coordinate system, whose diagonal is the unit t; kept
     independent from both the closed form and the rewrite engine.
     """
+    _check_size("n", n, 2)
     t = Laurent.x(2)
     t_inv = Laurent.x(-2)
     mats = []
@@ -854,8 +810,9 @@ def pair_basis_change(n, s):
     Columns are w-pairs (i <= j <= n-1), rows W-pairs; the parameter s is
     a nonzero scalar.  Reported, not asserted: invertibility of the map.
     """
-    if s == 0:
-        raise ValueError("s must be nonzero")
+    _check_size("n", n, 2)
+    if not math.isfinite(s) or s == 0:
+        raise ValueError("s must be finite and nonzero, got %r" % (s,))
     w_pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
     W_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     Widx = {p: r for r, p in enumerate(W_pairs)}
@@ -1090,6 +1047,10 @@ def inverse_defect(fwd, inv):
     """Deviation of sigma * sigma^{-1} from the identity, per generator.
 
     The two families must list the same generators in the same order.
+    For numeric families the result is absolute, the largest entry of
+    |sigma sigma^{-1} - 1|, not relative like braid_relation_defect's, so
+    families with large entries can exceed a fixed tolerance on rounding
+    alone.  Laurent families compare as in braid_relation_defect.
     """
     worst = 0.0
     for mf, mi in zip(fwd, inv, strict=True):

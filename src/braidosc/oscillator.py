@@ -6,12 +6,14 @@ lowering and raising operators act with matrix elements
 sqrt([gamma]_q) * sqrt(m), the number-type generator has eigenvalue m + c,
 and the central group-like generator has eigenvalue q**(gamma/2).
 
-States of an n-fold product are kept as sparse linear combinations of
-:class:`TensorState`, which records both the occupation numbers and the
-arrangement ("sector") telling which representation label sits in which
-slot.  Braid generators permute the arrangement; everything else leaves
-it alone.  All public slot and generator indices are 1-based.  Scalars
-are plain float64 throughout.
+A state of an n-fold product is a sector (which label sits in which slot)
+plus one occupation per slot.  Each operator is one function of a sector
+and an int array of occupation rows, returning its image terms (source
+row, target sector, target rows, amplitude): ``weightspace`` places them
+in matrices by index arithmetic, and the ``apply_*`` functions run them on
+the states of a :class:`WeightVector`.  Braid generators permute the
+sector; nothing else does.  Public slot and generator indices are
+1-based.  Scalars are plain float64 throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import q_number
+import numpy as np
+
+from .scalars import _check_size, q_number
 
 
 class BraidoscError(Exception):
@@ -100,18 +104,12 @@ class Context:
             return self._canon[perm]
         except KeyError:
             pass
-        want = [self.labels[p] for p in perm]
-        used = [False] * self.n
-        out = []
-        for lab in want:
-            for i in range(self.n):
-                if not used[i] and self.labels[i] == lab:
-                    used[i] = True
-                    out.append(i)
-                    break
-            else:
-                raise ValueError("arrangement uses a label not in the context")
-        canon = tuple(out)
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError("arrangement %r is not a permutation of the %d slots" % (perm, self.n))
+        free = {}
+        for i, lab in enumerate(self.labels):
+            free.setdefault(lab, []).append(i)
+        canon = tuple(free[self.labels[p]].pop(0) for p in perm)
         self._canon[perm] = canon
         return canon
 
@@ -192,9 +190,6 @@ class WeightVector:
     def is_zero(self):
         return not self.terms
 
-    def __iter__(self):
-        return iter(self.terms.items())
-
     def add_term(self, state, coeff):
         s = self.terms.get(state, 0) + coeff
         if s:
@@ -268,11 +263,13 @@ class WeightVector:
 
 def basis_state(ctx, occ, perm=None):
     """Unit vector for the given occupations (and optional arrangement)."""
-    occ = tuple(int(m) for m in occ)
-    if len(occ) != ctx.n or any(m < 0 for m in occ):
+    occ = tuple(occ)
+    if len(occ) != ctx.n:
         raise ValueError("bad occupation tuple %r" % (occ,))
+    for m in occ:
+        _check_size("occupation", m, 0)
     perm = ctx.identity_perm() if perm is None else ctx.canonical_perm(perm)
-    return WeightVector(ctx, {TensorState(perm, occ): 1.0})
+    return WeightVector(ctx, {TensorState(perm, tuple(int(m) for m in occ)): 1.0})
 
 
 def vacuum(ctx, perm=None):
@@ -280,10 +277,71 @@ def vacuum(ctx, perm=None):
     return basis_state(ctx, (0,) * ctx.n, perm)
 
 
-def _replace(tup, idx, value):
-    lst = list(tup)
-    lst[idx] = value
-    return tuple(lst)
+def _act(op, vec):
+    """Run ``op(sector, rows)``, which returns the image terms of an int array
+    of occupation rows, on the states of a vector, sector by sector."""
+    by_sector = {}
+    for st, co in vec.terms.items():
+        by_sector.setdefault(st.perm, []).append((st.occ, co))
+    out = WeightVector(vec.ctx)
+    for perm, items in by_sector.items():
+        occs, coeffs = zip(*items)
+        src, target, rows, amp = op(perm, np.array(occs, np.int64))
+        for row, value in zip(rows.tolist(), (np.take(coeffs, src) * amp).tolist()):
+            out.add_term(TensorState(target, tuple(row)), value)
+    return out
+
+
+def _check_generator(gen):
+    if gen not in ("a+", "a-", "e", "g+", "g-"):
+        raise ValueError("unknown generator %r" % (gen,))
+
+
+def _slot_terms(ctx, gen, g, perm, occ):
+    """One algebra generator on slot g (0-based)."""
+    idx = perm[g]
+    m = occ[:, g]
+    if gen in ("a+", "a-"):
+        src = np.arange(len(occ)) if gen == "a+" else np.flatnonzero(m)
+        rows = occ[src]
+        rows[:, g] += 1 if gen == "a+" else -1
+        # sqrt of the larger occupation of the pair
+        return src, perm, rows, ctx.sqrt_qn[idx] * np.sqrt(np.maximum(m[src], rows[:, g]))
+    diag = {"e": m + ctx.labels[idx].c, "g+": ctx.qg_half[idx], "g-": 1 / ctx.qg_half[idx]}[gen]
+    return np.arange(len(occ)), perm, occ, np.broadcast_to(diag, len(occ))
+
+
+def _coproduct_terms(ctx, gen, perm, occ):
+    """Iterated coproduct of one generator on every slot."""
+    if gen == "e":
+        return np.arange(len(occ)), perm, occ, occ.sum(axis=1) + ctx.c_total()
+    if gen in ("g+", "g-"):
+        # central: eigenvalue q**(+-sum(gamma)/2) on every state
+        total = ctx.qpow(ctx.gamma_total() / 2, inverse=(gen == "g-"))
+        return np.arange(len(occ)), perm, occ, np.full(len(occ), total)
+    gammas = [ctx.labels[p].gamma for p in perm]
+    # slot j is dressed with q**(-gamma/2) per earlier slot and q**(+gamma/2) per later one
+    factor = np.array([
+        ctx.qpow((sum(gammas[j + 1:]) - sum(gammas[:j])) / 2) * ctx.sqrt_qn[p] for j, p in enumerate(perm)
+    ])
+    level = occ if gen == "a-" else occ + 1
+    src, slot = np.nonzero(level)
+    rows = occ[src]
+    rows[np.arange(len(src)), slot] += -1 if gen == "a-" else 1
+    return src, perm, rows, factor[slot] * np.sqrt(level[src, slot])
+
+
+def _intertwiner_terms(ctx, g, perm, occ):
+    """Intertwiner on slots g, g+1 (0-based); see apply_intertwiner."""
+    ia, ib = perm[g], perm[g + 1]
+    r = len(occ)
+    rows = np.concatenate([occ, occ])
+    rows[:r, g] += 1
+    rows[r:, g + 1] += 1
+    amp = np.sqrt(np.concatenate([rows[:r, g], rows[r:, g + 1]]))
+    amp[:r] *= ctx.sqrt_qn[ib] / ctx.qg_half[ia]
+    amp[r:] *= -ctx.sqrt_qn[ia] * ctx.qg_half[ib]
+    return np.arange(2 * r) % r, perm, rows, amp
 
 
 def apply_generator(gen, slot, vec):
@@ -295,28 +353,8 @@ def apply_generator(gen, slot, vec):
     ctx = vec.ctx
     if not 1 <= slot <= ctx.n:
         raise ValueError("slot out of range")
-    g = slot - 1
-    out = WeightVector(ctx)
-    for st, co in vec.terms.items():
-        idx = st.perm[g]
-        m = st.occ[g]
-        if gen == "a-":
-            if m == 0:
-                continue
-            out.add_term(TensorState(st.perm, _replace(st.occ, g, m - 1)),
-                         co * ctx.sqrt_qn[idx] * math.sqrt(m))
-        elif gen == "a+":
-            out.add_term(TensorState(st.perm, _replace(st.occ, g, m + 1)),
-                         co * ctx.sqrt_qn[idx] * math.sqrt(m + 1))
-        elif gen == "e":
-            out.add_term(st, co * (m + ctx.labels[idx].c))
-        elif gen == "g+":
-            out.add_term(st, co * ctx.qg_half[idx])
-        elif gen == "g-":
-            out.add_term(st, co / ctx.qg_half[idx])
-        else:
-            raise ValueError("unknown generator %r" % (gen,))
-    return out
+    _check_generator(gen)
+    return _act(lambda perm, occ: _slot_terms(ctx, gen, slot - 1, perm, occ), vec)
 
 
 def apply_coproduct(gen, vec):
@@ -326,38 +364,8 @@ def apply_coproduct(gen, vec):
     q**(-gamma/2) factors on earlier slots and q**(+gamma/2) on later ones;
     "e" is the plain sum and "g+-" the product over slots.
     """
-    ctx = vec.ctx
-    n = ctx.n
-    if gen == "e":
-        out = WeightVector(ctx)
-        for st, co in vec.terms.items():
-            shift = sum(st.occ) + ctx.c_total()
-            out.add_term(st, co * shift)
-        return out
-    if gen in ("g+", "g-"):
-        # central: eigenvalue q**(+-sum(gamma)/2) on every state
-        total = ctx.qpow(ctx.gamma_total() / 2, inverse=(gen == "g-"))
-        return vec * total
-    if gen not in ("a+", "a-"):
-        raise ValueError("unknown generator %r" % (gen,))
-    lowering = gen == "a-"
-    out = WeightVector(ctx)
-    for st, co in vec.terms.items():
-        gammas = [ctx.labels[p].gamma for p in st.perm]
-        for j in range(n):
-            m = st.occ[j]
-            if lowering and m == 0:
-                continue
-            idx = st.perm[j]
-            dress = ctx.qpow((sum(gammas[j + 1:]) - sum(gammas[:j])) / 2)
-            if lowering:
-                amp = ctx.sqrt_qn[idx] * math.sqrt(m)
-                new = TensorState(st.perm, _replace(st.occ, j, m - 1))
-            else:
-                amp = ctx.sqrt_qn[idx] * math.sqrt(m + 1)
-                new = TensorState(st.perm, _replace(st.occ, j, m + 1))
-            out.add_term(new, co * dress * amp)
-    return out
+    _check_generator(gen)
+    return _act(lambda perm, occ: _coproduct_terms(vec.ctx, gen, perm, occ), vec)
 
 
 def apply_intertwiner(k, vec):
@@ -374,18 +382,7 @@ def apply_intertwiner(k, vec):
     ctx = vec.ctx
     if not 1 <= k <= ctx.n - 1:
         raise ValueError("intertwiner index out of range")
-    g = k - 1
-    out = WeightVector(ctx)
-    for st, co in vec.terms.items():
-        ia = st.perm[g]
-        ib = st.perm[g + 1]
-        m = st.occ[g]
-        mp = st.occ[g + 1]
-        out.add_term(TensorState(st.perm, _replace(st.occ, g, m + 1)),
-                     co / ctx.qg_half[ia] * math.sqrt(m + 1) * ctx.sqrt_qn[ib])
-        out.add_term(TensorState(st.perm, _replace(st.occ, g + 1, mp + 1)),
-                     -co * ctx.sqrt_qn[ia] * ctx.qg_half[ib] * math.sqrt(mp + 1))
-    return out
+    return _act(lambda perm, occ: _intertwiner_terms(ctx, k - 1, perm, occ), vec)
 
 
 def apply_monomial(powers, vec):

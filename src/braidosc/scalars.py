@@ -16,8 +16,17 @@ out of emitted braid matrices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def _check_size(name, value, low):
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < low:
+        raise ValueError("%s must be >= %d, got %r" % (name, low, value))
 
 
 # ---------------------------------------------------------------------------

@@ -20,21 +20,22 @@ from .scalars import DEFAULT_TOLS, Laurent, L_ONE, L_ZERO, q_number
 from .oscillator import (
     Context,
     RepLabel,
-    WeightVector,
+    _coproduct_terms,
+    _intertwiner_terms,
     apply_coproduct,
     apply_casimir,
     apply_generator,
-    apply_intertwiner,
+    basis_state,
     homogeneous_context,
     marked_context,
 )
 from .weightspace import (
+    _weight_matrix,
     counts,
     lowest_weight_dimension,
     lowest_weight_kernel,
     lowest_weight_kernel_exact,
     lowest_weight_monomials,
-    operator_matrix,
     span_residual,
     verify_decomposition,
     weight_basis,
@@ -116,16 +117,18 @@ def _draw_marked(rng, n, position=None):
     return marked_context(n, RepLabel(g1, c1), RepLabel(g2, c2), position, q)
 
 
-def _random_vector(rng, ctx, N, sector=None):
-    basis = weight_basis(ctx, N, sector)
-    v = WeightVector(ctx)
-    for st in basis.states:
-        v.add_term(st, float(rng.standard_normal()))
-    return v
-
-
 def _rel(num, scale):
     return float(num / max(scale, 1e-300))
+
+
+def _coproduct(ctx, gen, N, M):
+    """Coproduct generator from level N to level M, every sector."""
+    return _weight_matrix(lambda perm, occ: _coproduct_terms(ctx, gen, perm, occ), ctx, N, M)
+
+
+def _intertwiner(ctx, k, N):
+    """Intertwiner O_k from level N to level N + 1, every sector."""
+    return _weight_matrix(lambda perm, occ: _intertwiner_terms(ctx, k - 1, perm, occ), ctx, N, N + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +137,22 @@ def _rel(num, scale):
 def check_ladder_commutators(ctx, occ_max, tols):
     """[lower, raise] = q-number of the total Gamma grading, plus the
     number-operator and centrality commutators, on every weight space."""
-    worst = 0.0
     qn_tot = q_number(ctx.gamma_total(), ctx.q)
+
+    def rel(resid, image):
+        # column j of every matrix is the image of basis state j
+        return float(np.max(np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(image, axis=0))))
+
+    worst = 0.0
     for N in range(occ_max + 1):
-        for st in weight_basis(ctx, N, "all").states:
-            v = WeightVector(ctx)
-            v.add_term(st, 1.0)
-            up = apply_coproduct("a+", v)
-            dn = apply_coproduct("a-", v)
-            comm = apply_coproduct("a-", up) - apply_coproduct("a+", dn) - qn_tot * v
-            worst = max(worst, _rel(comm.norm(), 1.0 + up.norm()))
-            r1 = apply_coproduct("e", up) - apply_coproduct("a+", apply_coproduct("e", v)) - up
-            r2 = apply_coproduct("e", dn) - apply_coproduct("a-", apply_coproduct("e", v)) + dn
-            worst = max(worst, _rel(r1.norm(), 1.0 + up.norm()))
-            worst = max(worst, _rel(r2.norm(), 1.0 + dn.norm()))
-            r3 = apply_coproduct("g+", up) - apply_coproduct("a+", apply_coproduct("g+", v))
-            worst = max(worst, _rel(r3.norm(), 1.0 + up.norm()))
+        up, dn = _coproduct(ctx, "a+", N, N + 1), _coproduct(ctx, "a-", N, N - 1)
+        num, num_up, num_dn = (_coproduct(ctx, "e", M, M) for M in (N, N + 1, N - 1))
+        comm = _coproduct(ctx, "a-", N + 1, N) @ up - _coproduct(ctx, "a+", N - 1, N) @ dn
+        comm -= qn_tot * np.eye(up.shape[1])
+        r1 = num_up @ up - up @ num - up
+        r2 = num_dn @ dn - dn @ num + dn
+        r3 = _coproduct(ctx, "g+", N + 1, N + 1) @ up - up @ _coproduct(ctx, "g+", N, N)
+        worst = max(worst, rel(comm, up), rel(r1, up), rel(r2, dn), rel(r3, up))
     return CheckResult("ladder_commutators_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
 
@@ -157,21 +160,25 @@ def check_intertwiner_identities(ctx, occ_max, tols, rng):
     """The intertwiner commutes with lowering and raising, shifts the
     number operator by one, and distinct copies commute."""
     worst = 0.0
+    norm = np.linalg.norm
     for N in range(occ_max + 1):
-        v = _random_vector(rng, ctx, N, "all")
-        for k in range(1, ctx.n):
-            ov = apply_intertwiner(k, v)
-            r1 = apply_coproduct("a-", ov) - apply_intertwiner(k, apply_coproduct("a-", v))
-            r2 = apply_coproduct("e", ov) - apply_intertwiner(k, apply_coproduct("e", v)) - ov
-            r3 = apply_coproduct("a+", ov) - apply_intertwiner(k, apply_coproduct("a+", v))
-            scale = 1.0 + ov.norm()
-            worst = max(worst, _rel(r1.norm(), scale), _rel(r2.norm(), scale), _rel(r3.norm(), scale))
+        # a random vector over weight_basis(ctx, N, "all")
+        v = rng.standard_normal(len(ctx.distinct_sectors()) * weight_dimension(ctx.n, N))
+        low = _coproduct(ctx, "a-", N, N - 1), _coproduct(ctx, "a-", N + 1, N)
+        num = _coproduct(ctx, "e", N, N), _coproduct(ctx, "e", N + 1, N + 1)
+        up = _coproduct(ctx, "a+", N, N + 1), _coproduct(ctx, "a+", N + 1, N + 2)
+        O = {k: [_intertwiner(ctx, k, j) for j in (N - 1, N, N + 1)] for k in range(1, ctx.n)}
+        for below, here, above in O.values():
+            ov = here @ v
+            r1 = low[1] @ ov - below @ (low[0] @ v)
+            r2 = num[1] @ ov - here @ (num[0] @ v) - ov
+            r3 = up[1] @ ov - above @ (up[0] @ v)
+            scale = 1.0 + norm(ov)
+            worst = max(worst, _rel(norm(r1), scale), _rel(norm(r2), scale), _rel(norm(r3), scale))
         for k1 in range(1, ctx.n):
             for k2 in range(k1 + 1, ctx.n):
-                r = apply_intertwiner(k1, apply_intertwiner(k2, v)) - apply_intertwiner(
-                    k2, apply_intertwiner(k1, v)
-                )
-                worst = max(worst, _rel(r.norm(), 1.0 + v.norm()))
+                r = O[k1][2] @ (O[k2][1] @ v) - O[k2][2] @ (O[k1][1] @ v)
+                worst = max(worst, _rel(norm(r), 1.0 + norm(v)))
     return CheckResult("intertwiner_identities_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
 
@@ -197,19 +204,13 @@ def check_hermiticity(tols, q=0.5, gamma=1.0, c=1.0):
     worst = 0.0
     ctx1 = homogeneous_context(1, gamma, c, q)
     for m in range(5):
-        vm = WeightVector(ctx1)
-        vm.add_term(next(iter(weight_basis(ctx1, m).states)), 1.0)
-        vm1 = WeightVector(ctx1)
-        vm1.add_term(next(iter(weight_basis(ctx1, m + 1).states)), 1.0)
+        vm, vm1 = basis_state(ctx1, (m,)), basis_state(ctx1, (m + 1,))
         lhs = apply_generator("a+", 1, vm).inner(vm1)
         rhs = vm.inner(apply_generator("a-", 1, vm1))
         worst = max(worst, abs(float(lhs - rhs)) / (1.0 + abs(float(lhs))))
     ctx2 = homogeneous_context(2, gamma, c, q)
     for N in range(4):
-        dom = weight_basis(ctx2, N)
-        cod = weight_basis(ctx2, N + 1)
-        up = operator_matrix(lambda v: apply_coproduct("a+", v), dom, cod)
-        down = operator_matrix(lambda v: apply_coproduct("a-", v), cod, dom)
+        up, down = _coproduct(ctx2, "a+", N, N + 1), _coproduct(ctx2, "a-", N + 1, N)
         worst = max(worst, _rel(np.max(np.abs(up - down.T)), np.max(np.abs(up))))
     return CheckResult("hermiticity_q%.2f" % q, worst < tols.operator_identity, worst)
 
@@ -220,11 +221,7 @@ def check_star_intertwiner(ctx, occ_max, tols):
     if ctx.n != 2:
         raise ValueError("two-slot check")
     eig = q_number(ctx.gamma_total(), ctx.q)
-    mats = []
-    for N in range(occ_max + 1):
-        dom = weight_basis(ctx, N, "all")
-        cod = weight_basis(ctx, N + 1, "all")
-        mats.append(operator_matrix(lambda v: apply_intertwiner(1, v), dom, cod))
+    mats = [_intertwiner(ctx, 1, N) for N in range(occ_max + 1)]
     worst = 0.0
     for N in range(occ_max):
         A = mats[N]
@@ -291,7 +288,7 @@ def check_dimension_grid(tols, n_max=5, level_max=4, q=0.6, gamma=1.2, c=0.7):
         ctx = homogeneous_context(n, gamma, c, q)
         for N in range(level_max + 1):
             wd = len(weight_basis(ctx, N).states)
-            kd = len(lowest_weight_kernel(ctx, N, None, tols).vectors)
+            kd = lowest_weight_kernel(ctx, N, None, tols).coords.shape[1]
             if wd != weight_dimension(n, N) or kd != lowest_weight_dimension(n, N):
                 ok = False
                 worst_detail = {"n": n, "N": N, "weight": wd, "kernel": kd}
@@ -307,7 +304,7 @@ def check_dimension_grid_marked(tols, n_max=4, level_max=3):
         ctx = _draw_marked(rng, n)
         for N in range(level_max + 1):
             for sector in ctx.distinct_sectors():
-                kd = len(lowest_weight_kernel(ctx, N, sector, tols).vectors)
+                kd = lowest_weight_kernel(ctx, N, sector, tols).coords.shape[1]
                 if kd != lowest_weight_dimension(n, N):
                     ok = False
                     detail = {"n": n, "N": N, "sector": list(sector), "kernel": kd}

@@ -11,35 +11,24 @@ of the full weight space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, q_number
+from .scalars import DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, _check_size, q_number
 from .oscillator import (
     BraidoscError,
     TensorState,
     WeightVector,
-    apply_casimir,
-    apply_coproduct,
-    apply_monomial,
+    _coproduct_terms,
+    _intertwiner_terms,
     basis_state,
-    vacuum,
 )
 
 
 class DimensionMismatchError(BraidoscError):
     """A computed dimension disagrees with the combinatorial count."""
-
-
-def _check_size(name, value, low):
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if value < low:
-        raise ValueError("%s must be >= %d, got %r" % (name, low, value))
 
 
 def compositions(total, parts):
@@ -67,12 +56,15 @@ def monomial_exponents(n, N):
 
 def weight_dimension(n, N):
     """Number of occupation patterns with total N over n slots."""
+    _check_size("n", n, 1)
+    _check_size("N", N, 0)
     return math.comb(n + N - 1, n - 1)
 
 
 def lowest_weight_dimension(n, N):
     """Dimension of the lowest-weight subspace at level N (per sector)."""
-    return math.comb(n + N - 2, n - 2)
+    _check_size("n", n, 2)
+    return weight_dimension(n - 1, N)
 
 
 def counts(n, N):
@@ -103,6 +95,7 @@ class WeightSpaceBasis:
 
 def weight_basis(ctx, N, sector=None):
     """Enumerate the weight space basis, occupations in ascending lex."""
+    _check_size("N", N, 0)
     if sector == "all":
         sectors = ctx.distinct_sectors()
     else:
@@ -157,18 +150,58 @@ def operator_matrix(op, domain, codomain):
     return A
 
 
+def _occupations(N, n):
+    """compositions(N, n) as an int array, one row per state."""
+    return np.array(compositions(N, n), np.int64).reshape(-1, n)
+
+
+def _operator_block(op, sector, dom, cod):
+    """Target sector and matrix of an operator on one sector's rows ``dom``.
+
+    ``op`` gives each (target, source) pair once.  ``cod`` is a whole level
+    in ascending lex order, so its integer codes in base total + 1 ascend
+    and one searchsorted places every target row.
+    """
+    src, target, rows, amp = op(sector, dom)
+    total = int(cod[0].sum()) if len(cod) else -1
+    if (rows.sum(axis=1) != total).any():
+        raise BraidoscError("operator image leaves the codomain")
+    place = (total + 1) ** np.arange(cod.shape[1] - 1, -1, -1)
+    block = np.zeros((len(cod), len(dom)))
+    block[np.searchsorted(cod @ place, rows @ place), src] = amp
+    return target, block
+
+
+def _weight_matrix(op, ctx, N, M):
+    """Matrix of an operator from level N to level M over every sector, sector-major."""
+    sectors = ctx.distinct_sectors()
+    number = {sec: k for k, sec in enumerate(sectors)}
+    dom, cod = _occupations(N, ctx.n), _occupations(M, ctx.n)
+    out = np.zeros((len(sectors), len(cod), len(sectors), len(dom)))
+    for s, sec in enumerate(sectors):
+        target, block = _operator_block(op, sec, dom, cod)
+        out[number[target], :, s] = block
+    return out.reshape(len(sectors) * len(cod), len(sectors) * len(dom))
+
+
+def _coproduct_block(ctx, gen, sector, N, M):
+    """Coproduct generator ``gen`` from level N to level M (-1 is empty) of one sector."""
+    dom, cod = _occupations(N, ctx.n), _occupations(M, ctx.n)
+    return _operator_block(lambda perm, occ: _coproduct_terms(ctx, gen, perm, occ), sector, dom, cod)[1]
+
+
 def lowering_matrix(ctx, N, sector=None):
     """Coproduct lowering operator as a matrix W_N -> W_{N-1}."""
-    dom = weight_basis(ctx, N, sector)
-    cod = weight_basis(ctx, N - 1, sector)
-    return operator_matrix(lambda v: apply_coproduct("a-", v), dom, cod), dom, cod
+    _check_size("N", N, 1)
+    dom, cod = weight_basis(ctx, N, sector), weight_basis(ctx, N - 1, sector)
+    return _coproduct_block(ctx, "a-", dom.sector, N, N - 1), dom, cod
 
 
 @dataclass
 class LowestWeightBasis:
     """Basis of the lowest-weight subspace at one level, single sector.
 
-    ``coords`` holds the ``vectors`` as columns over the states of
+    ``coords`` holds the basis vectors as columns over the states of
     ``weight_basis(ctx, N, sector)``.  The kernel route returns an
     orthonormal family (gram = identity), the monomial route the
     unnormalized monomial vectors in ``monomial_exponents`` order.
@@ -177,9 +210,14 @@ class LowestWeightBasis:
     ctx: object
     N: int
     sector: tuple
-    vectors: list
     gram: np.ndarray
     coords: np.ndarray
+
+    @property
+    def vectors(self):
+        """The ``coords`` columns as tensor-coordinate vectors."""
+        basis = weight_basis(self.ctx, self.N, self.sector)
+        return [from_coordinates(self.ctx, col, basis) for col in self.coords.T]
 
 
 def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
@@ -193,10 +231,7 @@ def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
     _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     expected = lowest_weight_dimension(ctx.n, N)
-    if N == 0:
-        vec = vacuum(ctx, sector)
-        return LowestWeightBasis(ctx, 0, sector, [vec], np.eye(1), np.ones((1, 1)))
-    A, dom, _ = lowering_matrix(ctx, N, sector)
+    A = _coproduct_block(ctx, "a-", sector, N, N - 1)
     _, svals, vt = np.linalg.svd(A)
     cut = tols.sv_cutoff * (svals[0] if len(svals) else 1.0)
     rank = int(np.sum(svals > cut))
@@ -206,16 +241,7 @@ def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
             "kernel dimension %d != expected %d at n=%d N=%d"
             % (null.shape[0], expected, ctx.n, N)
         )
-    vectors = [from_coordinates(ctx, row, dom) for row in null]
-    return LowestWeightBasis(ctx, N, sector, vectors, np.eye(expected), null.T)
-
-
-def monomial_vector(ctx, powers, sector=None):
-    """Intertwiner monomial applied to the vacuum of the given sector."""
-    powers = tuple(int(e) for e in powers)
-    if len(powers) != ctx.n - 1 or any(e < 0 for e in powers):
-        raise ValueError("bad exponent tuple %r" % (powers,))
-    return apply_monomial(powers, vacuum(ctx, sector))
+    return LowestWeightBasis(ctx, N, sector, np.eye(expected), null.T)
 
 
 def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
@@ -228,10 +254,21 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     expts = monomial_exponents(ctx.n, N)
-    vectors = [monomial_vector(ctx, powers, sector) for powers in expts]
-    V = _coordinate_matrix(vectors, weight_basis(ctx, N, sector))
-    # the vacuum has no lower level to map to
-    low = lowering_matrix(ctx, N, sector)[0] @ V if N else np.zeros((0, len(vectors)))
+    rows = [_occupations(j, ctx.n) for j in range(N + 1)]
+    # intertwiner matrices O[j][k] from level j, applied to the vacuum column in apply_monomial order
+    O = [
+        [_operator_block(lambda perm, occ: _intertwiner_terms(ctx, k, perm, occ), sector, lo, hi)[1]
+         for k in range(ctx.n - 1)]
+        for lo, hi in zip(rows, rows[1:])
+    ]
+    cols = []
+    for powers in expts:
+        v = np.ones(1)
+        for j, k in enumerate(k for k, e in enumerate(powers) for _ in range(e)):
+            v = O[j][k] @ v
+        cols.append(v)
+    V = np.array(cols).T
+    low = _coproduct_block(ctx, "a-", sector, N, N - 1) @ V
     residuals = np.linalg.norm(low, axis=0) / np.linalg.norm(V, axis=0)
     for powers, res in zip(expts, residuals):
         if res > tols.kernel_residual:
@@ -242,7 +279,7 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     eigs = np.linalg.eigvalsh(gram)
     if len(eigs) and eigs[0] <= tols.sv_cutoff * max(eigs[-1], 1.0):
         raise BraidoscError("monomial Gram matrix is numerically singular")
-    return LowestWeightBasis(ctx, N, sector, vectors, gram, V)
+    return LowestWeightBasis(ctx, N, sector, gram, V)
 
 
 def span_residual(vectors, others):
@@ -309,15 +346,13 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
     """
     _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
-    dom = weight_basis(ctx, N, sector)
     qn_total = q_number(ctx.gamma_total(), ctx.q)
     c_tot = ctx.c_total()
-    levels = [weight_basis(ctx, j, sector) for j in range(N)] + [dom]
-    raising = [
-        operator_matrix(lambda v: apply_coproduct("a+", v), levels[j], levels[j + 1])
-        for j in range(N)
-    ]
-    C = operator_matrix(apply_casimir, dom, dom)
+    raising = [_coproduct_block(ctx, "a+", sector, j, j + 1) for j in range(N)]
+    # Casimir [sum gamma]_q Delta(e) - Delta(a+) Delta(a-); Delta(e) is N + c_tot on level N
+    C = qn_total * (N + c_tot) * np.eye(weight_dimension(ctx.n, N))
+    if N:
+        C -= raising[-1] @ _coproduct_block(ctx, "a-", sector, N, N - 1)
 
     blocks = []
     expected_dims = []
@@ -354,14 +389,14 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
 
     passed = (
         block_dims == expected_dims
-        and rank == len(dom)
+        and rank == len(C)
         and worst < tols.eigen
         and all(mult.get(j, 0) == expected_dims[j] for j in range(N + 1))
     )
     return DecompositionReport(
         n=ctx.n,
         N=N,
-        weight_dim=len(dom),
+        weight_dim=len(C),
         block_dims=block_dims,
         expected_block_dims=expected_dims,
         casimir_residual=worst,

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidosc.braid import (
     BasisElement,
@@ -30,12 +30,19 @@ from braidosc.braid import (
     sigma_weight_matrix,
     unreduced_burau,
     apply_braid_generator,
+    _braid_op,
 )
 from braidosc.oscillator import (
     BraidoscError,
     Context,
     RepLabel,
     WeightVector,
+    _coproduct_terms,
+    _intertwiner_terms,
+    _slot_terms,
+    apply_coproduct,
+    apply_generator,
+    apply_intertwiner,
     basis_state,
     homogeneous_context,
     marked_context,
@@ -43,7 +50,7 @@ from braidosc.oscillator import (
 from braidosc.scalars import (
     DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, Tolerances, numeric_to_json, q_number,
 )
-from braidosc.weightspace import weight_basis
+from braidosc.weightspace import _weight_matrix, operator_matrix, weight_basis
 
 
 @pytest.fixture
@@ -103,6 +110,10 @@ class TestTensorAction:
         with pytest.raises(ValueError):
             apply_braid_generator(2, basis_state(het2, (0, 0)))
 
+    def test_weight_matrix_rejects_negative_level(self, het2):
+        with pytest.raises(ValueError, match="N must be"):
+            sigma_weight_matrix(het2, -1, 1)
+
     def test_weight_matrix_inverse_both_orders(self, mctx3):
         for N in (1, 2):
             F = sigma_weight_matrix(mctx3, N, 2)
@@ -146,6 +157,10 @@ class TestTransitionVariants:
         with pytest.raises(TypeError):
             build_matrices(3, 1, route="direct", ctx=mctx3, binomial="multiset")
 
+    def test_rejects_negative_m_max(self, het2):
+        with pytest.raises(ValueError, match="m_max must be"):
+            compare_transition_formulas(het2, m_max=-1)
+
     def test_variants_differ_at_higher_occupation(self, het2):
         a = sigma_weight_matrix(het2, 2, 1, binomial="series")
         b = sigma_weight_matrix(het2, 2, 1, binomial="multiset")
@@ -153,6 +168,14 @@ class TestTransitionVariants:
 
 
 class TestBurau:
+    @pytest.mark.parametrize("build, n", [
+        (closed_form_burau, 1), (closed_form_lkb, 1), (unreduced_burau, 0), (unreduced_burau, 1),
+        (reduced_burau_reference, 1),
+    ])
+    def test_rejects_too_few_strands(self, build, n):
+        with pytest.raises(ValueError, match="n must be"):
+            build(n)
+
     def test_reduced_reference_pinned(self):
         # md5 of every reference matrix for n = 2..8, as printed entries
         text = repr([[[str(e) for e in row] for row in M] for n in range(2, 9) for M in reduced_burau_reference(n)])
@@ -571,11 +594,11 @@ class TestRoutes:
 
 
 @st.composite
-def _numeric_contexts(draw):
+def _numeric_contexts(draw, n_max=5, distinct_max=4):
     """Homogeneous, one-marked or all-distinct labels, q on either side of 1."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, n_max))
     # all-distinct labels give n! sectors; n = 5 would dominate the run time
-    kind = draw(st.sampled_from(["homogeneous", "marked", "distinct"][: 3 if n <= 4 else 2]))
+    kind = draw(st.sampled_from(["homogeneous", "marked", "distinct"][: 3 if n <= distinct_max else 2]))
     # symmetric under q -> 1/q, as the inverse family is built too; below
     # q = 0.2 (above 5) the direct route's own span and Gram checks start to
     # refuse level-3 families, whose images cancel to 1e-9 of their terms
@@ -627,6 +650,56 @@ def test_routes_agree_on_both_sides_of_q_one(ctx, N):
         assert a.basis == b.basis and a.phase == b.phase
         scale = np.max(np.abs(a.entries))
         assert np.max(np.abs(a.entries - b.entries)) <= DEFAULT_TOLS.route_match * scale
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(ctx=_numeric_contexts(n_max=4, distinct_max=3), N=st.integers(0, 2), inverse=st.booleans())
+@example(ctx=Context((RepLabel(0.7, 0.3), RepLabel(1.3, 0.9)), 1.8), N=0, inverse=True)
+@example(ctx=Context((RepLabel(0.6, 0.2), RepLabel(1.1, 0.5), RepLabel(1.7, 1.1)), 0.4), N=2, inverse=False)
+def test_compiled_operators(ctx, N, inverse):
+    """Matrices built by index arithmetic, level by level up to N.
+
+    Each equals operator_matrix of its apply_* function, which checks the
+    row positions and the scatter; closed and series braid matrices agree;
+    L_{j+1} R_j - R_{j-1} L_j = [sum gamma]_q I; intertwiners commute with
+    lowering.  Oracle and matrix evaluate the same amplitudes on arrays of
+    different lengths, where numpy's power may round differently in the
+    last bit, hence the tolerance.
+    """
+    qn = q_number(ctx.gamma_total(), ctx.q)
+
+    def check(terms, apply, j, m):
+        A = _weight_matrix(terms, ctx, j, m)
+        B = operator_matrix(apply, weight_basis(ctx, j, "all"), weight_basis(ctx, m, "all"))
+        assert A.shape == B.shape and np.allclose(A, B, rtol=1e-13, atol=0)
+        return A
+
+    low_prev = up_prev = None
+    O_prev = {}
+    for j in range(N + 1):
+        low = check(lambda p, o: _coproduct_terms(ctx, "a-", p, o), lambda v: apply_coproduct("a-", v), j + 1, j)
+        up = check(lambda p, o: _coproduct_terms(ctx, "a+", p, o), lambda v: apply_coproduct("a+", v), j, j + 1)
+        comm = low @ up - (up_prev @ low_prev if j else 0)
+        _assert_rounding_level(comm, qn * np.eye(len(comm)), (low, up))
+        for slot in range(1, ctx.n + 1):
+            for gen, m in (("a+", j + 1), ("a-", j - 1)):
+                if m >= 0:
+                    check(lambda p, o: _slot_terms(ctx, gen, slot - 1, p, o),
+                          lambda v: apply_generator(gen, slot, v), j, m)
+        for k in range(1, ctx.n):
+            O = check(lambda p, o: _intertwiner_terms(ctx, k - 1, p, o), lambda v: apply_intertwiner(k, v), j, j + 1)
+            lhs = low @ O
+            _assert_rounding_level(lhs, O_prev[k] @ low_prev if j else np.zeros_like(lhs), (low, O))
+            O_prev[k] = O
+        for i in range(1, ctx.n):
+            mats = [
+                check(_braid_op(ctx, i, inverse, formula), lambda v: apply_braid_generator(
+                    i, v, inverse=inverse, formula=formula), j, j)
+                for formula in ("closed", "series")
+            ]
+            assert np.max(np.abs(mats[0] - mats[1])) <= 1e-12 * np.max(np.abs(mats[0]))
+            assert np.array_equal(mats[0], sigma_weight_matrix(ctx, j, i, inverse=inverse))
+        low_prev, up_prev = low, up
 
 
 def test_numeric_rewrite_matches_exact_family():
@@ -788,6 +861,14 @@ class TestPairChange:
     def test_rejects_zero_parameter(self):
         with pytest.raises(ValueError):
             pair_basis_change(3, 0.0)
+
+    @pytest.mark.parametrize("n, s, match", [
+        (1, 1.0, "n must be"), (0, 1.0, "n must be"),
+        (3, float("nan"), "s must be finite"), (3, float("inf"), "s must be finite"),
+    ])
+    def test_rejects_bad_size_or_parameter(self, n, s, match):
+        with pytest.raises(ValueError, match=match):
+            pair_basis_change(n, s)
 
     def test_diagonal_pair_column(self):
         ch = pair_basis_change(3, 1.0)

@@ -64,6 +64,11 @@ class TestContext:
         with pytest.raises(ValueError):
             RepLabel(0.0, 0.5)
 
+    @pytest.mark.parametrize("perm", [(0, 1), (0, 1, 2, 3), (0, 0, 1), (0, 1, 3)])
+    def test_rejects_arrangement_that_is_not_a_permutation(self, ctx3m, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            ctx3m.canonical_perm(perm)
+
     def test_cached_scalars(self, ctx2m):
         assert close(ctx2m.qn[0], q_number(1.2, 0.6))
         assert close(ctx2m.sqrt_qn[1] ** 2, ctx2m.qn[1])
@@ -151,6 +156,19 @@ class TestGenerators:
 
     def test_lowering_kills_vacuum_slot(self, ctx2):
         assert apply_generator("a-", 1, vacuum(ctx2)).is_zero()
+
+    @pytest.mark.parametrize("act", [
+        lambda v: apply_generator("zz", 1, v),
+        lambda v: apply_coproduct("zz", v),
+    ], ids=["slot", "coproduct"])
+    def test_unknown_generator_fails_on_empty_vector(self, ctx2, act):
+        with pytest.raises(ValueError, match="unknown generator"):
+            act(WeightVector(ctx2))
+
+    @pytest.mark.parametrize("occ", [(0.5, 0), (1.0, 0), (True, 0), (-1, 0), (0,), (0, 0, 0)])
+    def test_basis_state_rejects_bad_occupations(self, ctx2, occ):
+        with pytest.raises(ValueError, match="occupation"):
+            basis_state(ctx2, occ)
 
     def test_number_operator(self, ctx2):
         v = basis_state(ctx2, (2, 1))

@@ -318,5 +318,35 @@ class TestErrors:
         with pytest.raises(ValueError, match="n must be"):
             lowest_weight_kernel_exact(n, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda ctx: weight_basis(ctx, -1),
+        lambda ctx: weight_basis(ctx, -1, "all"),
+        lambda ctx: weight_dimension(3, -1),
+        lambda ctx: counts(3, -1),
+    ], ids=["weight-basis", "weight-basis-all", "weight-dimension", "counts"])
+    def test_rejects_negative_level(self, call, mctx3):
+        with pytest.raises(ValueError, match="N must be"):
+            call(mctx3)
+
+    @pytest.mark.parametrize("call", [
+        lambda: lowest_weight_dimension(1, 2),
+        lambda: weight_dimension(0, 2),
+        lambda: counts(1, 2),
+    ], ids=["lowest-weight-dimension", "weight-dimension", "counts"])
+    def test_rejects_too_few_slots(self, call):
+        with pytest.raises(ValueError, match="n must be"):
+            call()
+
+    @pytest.mark.parametrize("gen, levels", [("a+", (2, 2)), ("a-", (2, 2)), ("a+", (1, 0)), ("e", (2, 1))])
+    def test_operator_block_rejects_image_outside_codomain(self, mctx3, gen, levels):
+        dom, cod = (weightspace._occupations(j, 3) for j in levels)
+        op = lambda perm, occ: weightspace._coproduct_terms(mctx3, gen, perm, occ)
+        with pytest.raises(BraidoscError, match="leaves the codomain"):
+            weightspace._operator_block(op, mctx3.identity_perm(), dom, cod)
+
+    def test_kernel_rejects_short_arrangement(self, hctx3):
+        with pytest.raises(ValueError, match="not a permutation"):
+            lowest_weight_kernel(hctx3, 1, (0, 1))
+
     def test_dimension_mismatch_is_error_type(self):
         assert issubclass(DimensionMismatchError, Exception)
