@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -223,19 +224,29 @@ def _rewrite_table(i, exps):
     image's position in ``exps``), column, the counts of the five exchange
     factors (O_i, O_{i-1} kept, O_{i-1} turned, O_{i+1} kept, O_{i+1}
     turned) as a 5 x terms array, and multiplicity C(p_{i-1}, a) C(p_{i+1}, b).
+    Terms run by column, then a, then b.
+
+    ``exps`` holds every weak composition of N in descending lex order, so
+    an image's row is its rank in the combinatorial number system: parts
+    p_0 .. p_{m-1} with suffix sums s_j = p_j + ... + p_{m-1} come after
+    sum_j C(s_{j+1} + m - 2 - j, m - 1 - j) compositions (j < m - 1).
     """
-    pos = {powers: k for k, powers in enumerate(exps)}
-    terms = []
-    for col, powers in enumerate(exps):
-        p = (0, *powers, 0)  # p[k] is the power of O_k, with absent O_0 and O_n
-        left, mid, right = p[i - 1], p[i], p[i + 1]
-        for a in range(left + 1):
-            for b in range(right + 1):
-                image = (*p[:i - 1], a, mid + left - a + right - b, b, *p[i + 2:])
-                mult = math.comb(left, a) * math.comb(right, b)
-                terms.append((pos[image[1:-1]], col, mid, a, left - a, b, right - b, mult))
-    table = np.array(terms, np.int64).T
-    return table[0], table[1], table[2:7], table[7]
+    exps = np.array(exps, np.int64).reshape(len(exps), -1)
+    d, m = exps.shape
+    top = int(exps[0].sum()) + m
+    binom = np.array([[math.comb(x, y) for y in range(top)] for x in range(top)], np.int64)
+    p = np.pad(exps, ((0, 0), (1, 1)))  # p[:, k] is the power of O_k, with absent O_0 and O_n
+    per = (p[:, i - 1] + 1) * (p[:, i + 1] + 1)
+    col = np.repeat(np.arange(d), per)
+    left, mid, right = p[col, i - 1], p[col, i], p[col, i + 1]
+    a, b = np.divmod(np.arange(len(col)) - np.repeat(np.cumsum(per) - per, per), right + 1)
+    image = p[col]
+    image[:, i - 1], image[:, i], image[:, i + 1] = a, mid + left - a + right - b, b
+    suffix = np.cumsum(image[:, m:1:-1], axis=1)[:, ::-1]  # s_1 .. s_{m-1}
+    j = np.arange(m - 1)
+    row = binom[suffix + m - 2 - j, m - 1 - j].sum(axis=1)
+    counts = np.stack((mid, a, left - a, b, right - b))
+    return row, col, counts, binom[left, a] * binom[right, b]
 
 
 def _exchange_factors(ctx, new_sector, i, inverse):
@@ -263,9 +274,14 @@ def _exchange_factors(ctx, new_sector, i, inverse):
 class BraidMatrix:
     """One braid generator on a lowest-weight space, with basis metadata.
 
-    ``entries`` is a float ndarray (numeric backend) or a nested list of
-    Laurent polynomials (exact backend), columns indexed by ``basis`` in
-    the recorded order; the physical generator is phase * entries.
+    ``entries`` is a float ndarray (numeric backend) or, for the exact
+    backend, a read-only view of nested Laurent rows; columns are indexed
+    by ``basis`` in the recorded order, and the physical generator is
+    phase * entries.  An exact matrix is stored as integer triplets, and
+    the view builds its row tuples on first read.  Nested lists given to
+    the constructor (directly, or through ``dataclasses.replace``) are
+    converted into that stored form, so an edit goes through a new matrix:
+    assigning into a row raises TypeError.
     """
 
     generator: int
@@ -280,6 +296,10 @@ class BraidMatrix:
     q: float | None = None
     labels: tuple | None = None
     solve_residual: float | None = None
+
+    def __post_init__(self):
+        if self.backend == "laurent" and not isinstance(self.entries, _LaurentView):
+            self.entries = _LaurentView(_exact(self.entries))
 
     @property
     def dimension(self):
@@ -300,15 +320,25 @@ class BraidMatrix:
 
 
 def _entries_json(entries):
-    """Wire form of a float array or of nested Laurent lists, read-only.
+    """Wire form of a float array or of an exact matrix, read-only.
 
     Zero entries share one object, and only the others are formatted: a
-    many-sector float matrix is almost all +0.0.  Each float entry equals
-    ``numeric_to_json`` of it, so -0.0 and nan keep their own text.
+    many-sector float matrix is almost all +0.0, and an exact one has
+    about 1.5 nonzero entries per column.  Each float entry equals
+    ``numeric_to_json`` of it, so -0.0 and nan keep their own text; each
+    exact entry equals ``Laurent.to_json`` of it.
     """
     if not isinstance(entries, np.ndarray):
+        m = _exact(entries)
+        # triplets run by exponent, so each entry's terms come in Laurent.to_json order
+        terms = {}
+        for k, r, c, v in zip(m.k.tolist(), m.r.tolist(), m.c.tolist(), m.v.tolist()):
+            terms.setdefault((r, c), []).append([k, str(v)])
         zero = {"terms": []}
-        return [[e.to_json() if e.terms else zero for e in row] for row in entries]
+        out = [[zero] * m.shape[1] for _ in range(m.shape[0])]
+        for (r, c), t in terms.items():
+            out[r][c] = {"terms": t}
+        return out
     rows, cols = entries.shape
     out = [["0.0"] * cols for _ in range(rows)]
     r, c = np.nonzero((entries != 0) | np.signbit(entries))
@@ -340,7 +370,7 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
         if exact:
             # each O_i gives -x**2, each O_{i-1} or O_{i+1} turned into O_i gives x
             power = sign * (2 * counts[0] + counts[2] + counts[4])
-            entries = _ExactMatrix((dim, dim), power, row, col, (-1) ** counts[0] * mult).to_laurent()
+            entries = _ExactMatrix((dim, dim), power, row, col, (-1) ** counts[0] * mult)
         else:
             entries = np.zeros((dim, dim))
             for s, sec in enumerate(sectors):
@@ -919,13 +949,62 @@ class _ExactMatrix:
 
     def to_laurent(self):
         rows, cols = self.shape
+        # one Fraction per distinct coefficient: the canonical terms need no checks
+        coeff = {v: Fraction(v) for v in set(self.v.tolist())}
         terms = {}
         for k, r, c, v in zip(self.k.tolist(), self.r.tolist(), self.c.tolist(), self.v.tolist()):
-            terms.setdefault((r, c), {})[k] = v
+            terms.setdefault((r, c), {})[k] = coeff[v]
         out = [[L_ZERO] * cols for _ in range(rows)]
         for (r, c), t in terms.items():
-            out[r][c] = Laurent(t)
+            out[r][c] = lp = Laurent.__new__(Laurent)
+            lp.terms = t
         return out
+
+
+class _LaurentView:
+    """Read-only nested rows of Laurent entries over a stored _ExactMatrix.
+
+    Rows are tuples, built on first read and kept.  Two views compare by
+    their triplets, a view and nested lists entry by entry.
+    """
+
+    __slots__ = ("matrix", "_rows")
+
+    def __init__(self, matrix):
+        self.matrix, self._rows = matrix, None
+
+    def _built(self):
+        if self._rows is None:
+            self._rows = tuple(map(tuple, self.matrix.to_laurent()))
+        return self._rows
+
+    def __len__(self):
+        return self.matrix.shape[0]
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, _LaurentView):
+            return self.matrix == other.matrix
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == tuple(b) for a, b in zip(self, other))
+
+    def __repr__(self):
+        return repr([list(row) for row in self])
+
+
+def _exact(entries):
+    """The _ExactMatrix behind a view, or one read from nested Laurent lists."""
+    if isinstance(entries, _LaurentView):
+        return entries.matrix
+    if isinstance(entries, _ExactMatrix):
+        return entries
+    return _ExactMatrix.from_laurent(entries)
 
 
 class _BlockMatrix:
@@ -992,17 +1071,19 @@ class _BlockMatrix:
 
 
 def _operand(mat):
-    """A family member's float entries as blocks, Laurent lists as an exact matrix."""
+    """A family member's float entries as blocks, exact entries as an exact matrix."""
     if isinstance(mat.entries, np.ndarray):
         return _BlockMatrix.from_dense(mat.entries, len(monomial_exponents(mat.n, mat.N)))
-    return _ExactMatrix.from_laurent(mat.entries)
+    return _exact(mat.entries)
 
 
 def lmat_mul(A, B):
-    return (_ExactMatrix.from_laurent(A) @ _ExactMatrix.from_laurent(B)).to_laurent()
+    """Product of two exact matrices, each a view or nested Laurent lists."""
+    return (_exact(A) @ _exact(B)).to_laurent()
 
 
 def lmat_eq(A, B):
+    """Entrywise equality; two views compare by their triplets."""
     return A == B
 
 
@@ -1072,8 +1153,15 @@ def evaluate_word(word, forward, inverse):
 
     Positive letter k means generator k, negative its inverse; the
     returned pair is (entries, phase) with the leftmost letter acting
-    first, i.e. the product M(w_L) ... M(w_1).
+    first, i.e. the product M(w_L) ... M(w_1).  Entries are a float array
+    or nested lists of Laurent polynomials.
     """
+    total, phase = _word_product(word, forward, inverse)
+    return (total.to_laurent() if isinstance(total, _ExactMatrix) else total), phase
+
+
+def _word_product(word, forward, inverse):
+    """evaluate_word with the product as a float array or an _ExactMatrix."""
     if not forward:
         raise ValueError("empty generator family")
     by_gen_f = {m.generator: m for m in forward}
@@ -1092,12 +1180,12 @@ def evaluate_word(word, forward, inverse):
             operands[letter] = _operand(mat)
         total = operands[letter] if total is None else operands[letter] @ total
         phase = mat.phase * phase
-    if isinstance(total, _ExactMatrix):
-        return total.to_laurent(), phase
     if isinstance(total, _BlockMatrix):
         return total.dense(), phase
-    dim = forward[0].dimension
-    return (np.eye(dim) if isinstance(forward[0].entries, np.ndarray) else _laurent_identity(dim)), phase
+    if total is None:
+        dim = forward[0].dimension
+        total = np.eye(dim) if isinstance(forward[0].entries, np.ndarray) else _ExactMatrix.identity(dim)
+    return total, phase
 
 
 def family_to_json(mats):

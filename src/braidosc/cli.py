@@ -18,7 +18,7 @@ import sys
 from .scalars import DEFAULT_TOLS
 from .oscillator import BraidoscError, Context, RepLabel, homogeneous_context, marked_context
 from .weightspace import counts
-from .braid import _entries_json, build_matrices, evaluate_word, family_to_json
+from .braid import _entries_json, _word_product, build_matrices, family_to_json
 
 
 def _rep_args(p, with_route=True):
@@ -193,7 +193,7 @@ def cmd_word(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    total, phase = evaluate_word(letters, fwd, inv)
+    total, phase = _word_product(letters, fwd, inv)
     payload = {
         "word": letters,
         "n": args.n,

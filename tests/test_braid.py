@@ -30,7 +30,10 @@ from braidosc.braid import (
     sigma_weight_matrix,
     unreduced_burau,
     apply_braid_generator,
+    _ExactMatrix,
     _braid_op,
+    _rewrite_table,
+    _word_product,
 )
 from braidosc.oscillator import (
     BraidoscError,
@@ -50,7 +53,7 @@ from braidosc.oscillator import (
 from braidosc.scalars import (
     DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, Tolerances, numeric_to_json, q_number,
 )
-from braidosc.weightspace import _weight_matrix, operator_matrix, weight_basis
+from braidosc.weightspace import _weight_matrix, monomial_exponents, operator_matrix, weight_basis
 
 
 @pytest.fixture
@@ -349,7 +352,9 @@ class TestRelations:
     def test_perturbed_exact_family_defects(self, n, N):
         f = build_matrices(n, N)
         b = build_matrices(n, N, inverse=True)
-        f[1].entries[0][0] = f[1].entries[0][0] + Laurent.x(3)
+        edited = [list(row) for row in f[1].entries]
+        edited[0][0] = edited[0][0] + Laurent.x(3)
+        f[1] = dataclasses.replace(f[1], entries=edited)
         at = {m.generator: _at(m.entries, 0.7) for m in f}
         want = 0.0
         for i in range(1, n - 1):
@@ -488,6 +493,101 @@ def test_exact_algebra_overflow_guard():
     # just below the int64 bound the product is still exact
     edge = [[Laurent.x(1, 2 ** 31)]]
     assert lmat_eq(lmat_mul(edge, edge), [[Laurent.x(2, 2 ** 62)]])
+
+
+def _rewrite_table_by_loop(i, exps):
+    """_rewrite_table term by term, with a dict from exponents to rows."""
+    pos = {powers: k for k, powers in enumerate(exps)}
+    terms = []
+    for col, powers in enumerate(exps):
+        p = (0, *powers, 0)
+        left, mid, right = p[i - 1], p[i], p[i + 1]
+        for a in range(left + 1):
+            for b in range(right + 1):
+                image = (*p[:i - 1], a, mid + left - a + right - b, b, *p[i + 2:])
+                mult = math.comb(left, a) * math.comb(right, b)
+                terms.append((pos[image[1:-1]], col, mid, a, left - a, b, right - b, mult))
+    table = np.array(terms, np.int64).T
+    return table[0], table[1], table[2:7], table[7]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rewrite_table_ranks_images_like_a_lookup(n):
+    for N in range(6):
+        exps = monomial_exponents(n, N)
+        for i in range(1, n):
+            got, want = _rewrite_table(i, exps), _rewrite_table_by_loop(i, exps)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and np.array_equal(g, w), (n, N, i)
+
+
+class TestExactStorage:
+    """Exact entries are a read-only view of the stored triplets."""
+
+    @staticmethod
+    def _families():
+        for n in range(2, 7):
+            for N in range(5):
+                for inverse in (False, True):
+                    yield build_matrices(n, N, inverse=inverse)
+
+    def test_rows_reject_item_assignment(self):
+        m = build_matrices(3, 2)[0]
+        with pytest.raises(TypeError):
+            m.entries[0][0] = L_ONE
+        with pytest.raises(TypeError):
+            m.entries[0] = [L_ONE] * m.dimension
+
+    def test_view_matches_stored_matrix(self):
+        for fam in self._families():
+            for m in fam:
+                lists = m.entries.matrix.to_laurent()
+                assert m.entries == lists and lists == m.entries
+                assert lmat_eq(lists, m.entries)
+                assert _ExactMatrix.from_laurent(m.entries) == m.entries.matrix
+                assert m.entries_json() == [[e.to_json() for e in row] for row in lists]
+
+    def test_checks_and_export_read_triplets(self):
+        f = build_matrices(4, 2)
+        b = build_matrices(4, 2, inverse=True)
+        assert lmat_eq(f[0].entries, dataclasses.replace(f[0]).entries)
+        assert not lmat_eq(f[0].entries, f[1].entries)
+        assert braid_relation_defect(f) == inverse_defect(f, b) == 0.0
+        family_to_json(f)
+        # no view built its Laurent rows
+        assert all(m.entries._rows is None for m in f + b)
+        assert f[0].entries != [list(row) for row in f[1].entries]
+
+    @pytest.mark.parametrize("rebuild", [
+        lambda m, lists: dataclasses.replace(m, entries=lists),
+        lambda m, lists: type(m)(**{**m.__dict__, "entries": lists}),
+    ])
+    def test_constructor_converts_lists(self, rebuild):
+        f = build_matrices(4, 2)
+        b = build_matrices(4, 2, inverse=True)
+        lists = [list(row) for row in f[0].entries]
+        lists[1][0] = lists[1][0] + Laurent.x(-2, 3)
+        edited = rebuild(f[0], lists)
+        assert edited.entries == lists and edited.entries != f[0].entries
+        assert edited.entries.matrix == _ExactMatrix.from_laurent(lists)
+        assert edited.to_json()["entries"][1][0] == lists[1][0].to_json()
+        assert braid_relation_defect(f) == inverse_defect(f, b) == 0.0
+        assert braid_relation_defect([edited] + f[1:]) > 0.0
+        assert inverse_defect([edited] + f[1:], b) > 0.0
+
+    def test_closed_forms_are_stored_like_the_rewrite(self):
+        for closed, N in ((closed_form_burau, 1), (closed_form_lkb, 2)):
+            for g, w in zip(build_matrices(5, N), closed(5)):
+                assert g.entries.matrix == w.entries.matrix
+
+    def test_word_product_is_the_stored_form_of_evaluate_word(self):
+        f = build_matrices(4, 2)
+        b = build_matrices(4, 2, inverse=True)
+        for word in ([], [2], [1, -3, 2, 2]):
+            total, phase = _word_product(word, f, b)
+            lists, same_phase = evaluate_word(word, f, b)
+            assert isinstance(lists, list) and total.to_laurent() == lists
+            assert phase == same_phase
 
 
 class TestRoutes:

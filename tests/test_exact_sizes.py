@@ -1,0 +1,31 @@
+"""scripts/exact_sizes.py: a rung reports every stage, and both guards hold."""
+
+import json
+import os
+import subprocess
+import sys
+
+SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "exact_sizes.py")
+
+
+def _ladder(*args):
+    done = subprocess.run([sys.executable, SCRIPT, *args], capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_one_rung_reports_every_stage():
+    (rung,) = _ladder("--sizes", "4,2")["rungs"]
+    assert rung["d"] == 6 and rung["relation_defect"] == rung["inverse_defect"] == 0.0
+    for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "to_json_s", "peak_rss_mb"):
+        assert rung[key] >= 0.0
+
+
+def test_memory_cap_skips_the_export():
+    (rung,) = _ladder("--sizes", "4,2", "--mem-cap", "1e-9")["rungs"]
+    assert "export_skipped" in rung and "to_json_s" not in rung
+    assert rung["relation_defect"] == 0.0
+
+
+def test_budget_stops_the_ladder():
+    (rung,) = _ladder("--sizes", "4,2", "5,2", "--budget", "0.001")["rungs"]
+    assert rung["n"] == 4 and "stopped" in rung
