@@ -7,10 +7,11 @@ which below is always the combination x = q**(-gamma); in that regime the
 square-root and bare-q factors appearing in intermediate formulas cancel
 identically, so the exact backend carries no rounding error at all.
 
-Exact kernels and reference matrices need no field of fractions: every
-division they make is by a monomial, which :class:`Laurent` inverts with a
-negative power.  :class:`Phase` records the overall prefactor that is kept
-out of emitted braid matrices.
+No exact computation needs a field of fractions.  Exact kernels are read
+from a closed product with integer coefficients and never divide; only the
+reduced Burau reference divides, by a monomial, which :class:`Laurent`
+inverts with a negative power.  :class:`Phase` records the overall
+prefactor that is kept out of emitted braid matrices.
 """
 
 from __future__ import annotations

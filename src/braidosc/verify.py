@@ -312,7 +312,7 @@ def check_dimension_grid_marked(tols, n_max=4, level_max=3):
 
 
 def check_exact_kernels(n_max=4, level_max=3):
-    """Exact Laurent nullspaces annihilate the lowering map symbolically."""
+    """Exact lowest-weight kernels pass their dimension and exact A v = 0 checks."""
     ok = True
     detail = None
     for n in range(2, n_max + 1):

@@ -10,13 +10,13 @@ of the full weight space.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, _check_size, q_number
+from .scalars import DEFAULT_TOLS, L_ZERO, Laurent, _check_size, q_number
 from .oscillator import (
     BraidoscError,
     TensorState,
@@ -33,6 +33,8 @@ class DimensionMismatchError(BraidoscError):
 
 def compositions(total, parts):
     """Weak compositions of ``total`` into ``parts`` slots, ascending lex."""
+    if total < 0:
+        return []
     if parts == 0:
         return [()] if total == 0 else []
     if parts == 1:
@@ -251,6 +253,7 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     lowering operator (relative residual) and that the Gram matrix is
     positive definite; vectors are kept unnormalized.
     """
+    _check_size("n", ctx.n, 2)
     _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     expts = monomial_exponents(ctx.n, N)
@@ -283,7 +286,8 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
 
 
 def span_residual(vectors, others):
-    """Largest relative projection defect of ``vectors`` onto span(others)."""
+    """Largest relative projection defect of ``vectors`` onto span(others);
+    a zero vector in ``vectors`` has none and raises ValueError."""
     if not vectors:
         return 0.0
     states = sorted(
@@ -292,14 +296,12 @@ def span_residual(vectors, others):
     )
     V = _coordinate_matrix(vectors, states)
     W = _coordinate_matrix(others, states)
+    norms = np.linalg.norm(V, axis=0)
+    if not norms.all():
+        raise ValueError("span_residual: vector %d is zero" % int(np.argmin(norms)))
     Q = np.linalg.svd(W, full_matrices=False)[0]
     defect = V - Q @ (Q.T @ V)
-    return float(
-        max(
-            np.linalg.norm(defect[:, k]) / np.linalg.norm(V[:, k])
-            for k in range(V.shape[1])
-        )
-    )
+    return float((np.linalg.norm(defect, axis=0) / norms).max())
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +323,9 @@ class DecompositionReport:
     passed: bool
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "N": self.N,
-            "weight_dim": self.weight_dim,
-            "block_dims": self.block_dims,
-            "expected_block_dims": self.expected_block_dims,
-            "casimir_residual": self.casimir_residual,
-            "rank": self.rank,
-            "eigen_multiplicities": {str(k): v for k, v in sorted(self.eigen_multiplicities.items())},
-            "offblock_overlap": self.offblock_overlap,
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        out["eigen_multiplicities"] = {str(k): v for k, v in sorted(self.eigen_multiplicities.items())}
+        return out
 
 
 def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
@@ -414,11 +407,15 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
 class ExactLoweringKernel:
     """Exact lowest-weight kernel in rescaled occupation coordinates.
 
-    In the per-slot basis rescaled by sqrt([gamma]**m m!), row ``low`` of
-    the lowering map W_N -> W_{N-1} holds (low_j + 1) x**j in column
-    ``low + e_j`` for each 1-based slot j, times a global unit that cannot
-    affect the kernel.  Kernel vectors are primitive Laurent coordinate
-    rows over the ascending-lex occupation list ``occupations``.
+    In the per-slot basis rescaled by sqrt([gamma]**m m!), and up to a unit,
+    the lowering map W_N -> W_{N-1} is D = sum_j x**j d/dy_j on polynomials
+    in slot variables y_j whose exponents are the occupations: row ``low``
+    holds (low_j + 1) x**j in column ``low + e_j``.  D kills every
+    y_n - x**(n-j) y_j, so the vector with free column ``fc`` (last slot
+    empty) is prod_{j<n} (y_n - x**(n-j) y_j)**fc_j.  ``vectors`` holds one
+    Laurent row per free column over the ascending-lex ``occupations``.
+    Each is primitive: its first entry, at (0, ..., 0, N), is 1, and no
+    exponent is negative.
     """
 
     n: int
@@ -427,88 +424,50 @@ class ExactLoweringKernel:
     vectors: list
 
 
-def _lowering_row(low, index):
-    """The n nonzeros of row ``low`` of the rescaled lowering map.
-
-    Pairs (column position in ``index``, entry), slot by slot; the last
-    pair is the pivot (low_n + 1) x**n in column ``low + e_n``.
-    """
-    return [
-        (index[low[:j] + (low[j] + 1,) + low[j + 1:]], Laurent.x(j + 1, low[j] + 1))
-        for j in range(len(low))
-    ]
+def _kernel_terms(fc):
+    """Terms (occupation, coefficient, exponent) of the product for ``fc``: at
+    (b, N - |b|), b <= fc, (-1)**|b| prod_j C(fc_j, b_j) x**(sum_j (n-j) b_j)."""
+    n, N = len(fc), sum(fc)
+    for b in itertools.product(*(range(f + 1) for f in fc[:-1])):
+        coeff = (-1) ** sum(b) * math.prod(math.comb(f, k) for f, k in zip(fc, b))
+        yield b + (N - sum(b),), coeff, sum((n - j) * k for j, k in enumerate(b, 1))
 
 
-def _exact_nullspace(rows, occupations):
-    """Right kernel of the exact lowering map by back-substitution.
-
-    ``rows`` holds every row from _lowering_row.  The columns with an
-    empty last slot are free, and every other column ``occ`` is solved
-    from its pivot row ``occ - e_n`` once the columns with a smaller last
-    slot are known; the pivot is a monomial and inverts exactly.
-    """
-    solve = []
-    for row in sorted(rows, key=lambda row: occupations[row[-1][0]][-1]):
-        *others, (c, pivot) = row
-        solve.append((c, others, -pivot ** -1))
-    basis = []
-    for fc in (c for c, occ in enumerate(occupations) if occ[-1] == 0):
-        vec = [L_ZERO] * len(occupations)
-        vec[fc] = L_ONE
-        for c, others, inv in solve:
-            vec[c] = sum((a * vec[k] for k, a in others), L_ZERO) * inv
-        basis.append(vec)
-    return basis
-
-
-def _clear_denominators(vec):
-    """Primitive form of a Laurent vector: integer coprime coefficients,
-    lowest exponent 0, first nonzero entry with a positive leading term."""
-    coeffs = [c for l in vec for c in l.terms.values()]
-    if not coeffs:
-        return vec
-    # content = gcd of numerators over lcm of denominators
-    num_gcd = 0
-    den_lcm = 1
-    for c in coeffs:
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    shift = min(l.min_exp() for l in vec if not l.is_zero())
-    unit = Laurent.x(-shift, 1 / content)
-    out = [l * unit for l in vec]
-    # overall sign: make the first nonzero leading coefficient positive
-    for l in out:
-        if not l.is_zero():
-            if l.terms[l.max_exp()] < 0:
-                out = [-m for m in out]
-            break
-    return out
+def _lowers_to_zero(terms):
+    """Whether D sends ``terms`` to zero, in Python ints (no int64 bound)."""
+    image = {}
+    for occ, coeff, exp in terms:
+        for j, m in enumerate(occ):
+            if m:
+                key = occ[:j] + (m - 1,) + occ[j + 1:], exp + j + 1
+                image[key] = image.get(key, 0) + m * coeff
+    return not any(image.values())
 
 
 def lowest_weight_kernel_exact(n, N):
-    """Exact lowest-weight kernel for homogeneous labels.
+    """Exact lowest-weight kernel for homogeneous labels, x = q**(-gamma).
 
-    Works over Laurent polynomials in x = q**(-gamma); the rescaled basis
-    makes every entry polynomial.  Checks the kernel dimension against
-    the combinatorial count and that A v = 0 exactly.
+    Reads each vector from its product (see ExactLoweringKernel), which is
+    primitive as it stands, so nothing is solved or divided.  Checks the
+    kernel dimension against the combinatorial count and that A v = 0.
     """
     _check_size("n", n, 2)
     _check_size("N", N, 0)
     occs = compositions(N, n)
-    if N == 0:
-        return ExactLoweringKernel(n, 0, occs, [[L_ONE]])
-    index = {occ: k for k, occ in enumerate(occs)}
-    rows = [_lowering_row(low, index) for low in compositions(N - 1, n)]
-    null = _exact_nullspace(rows, occs)
+    free = [occ for occ in occs if occ[-1] == 0]
     expected = lowest_weight_dimension(n, N)
-    if len(null) != expected:
+    if len(free) != expected:
         raise DimensionMismatchError(
-            "exact kernel dimension %d != expected %d" % (len(null), expected)
+            "exact kernel dimension %d != expected %d" % (len(free), expected)
         )
-    vectors = [_clear_denominators(v) for v in null]
-    for vec in vectors:
-        for row in rows:
-            if sum((a * vec[k] for k, a in row), L_ZERO):
-                raise BraidoscError("exact kernel vector fails A v = 0")
+    index = {occ: k for k, occ in enumerate(occs)}
+    vectors = []
+    for fc in free:
+        terms = list(_kernel_terms(fc))
+        if not _lowers_to_zero(terms):
+            raise BraidoscError("exact kernel vector fails A v = 0")
+        vec = [L_ZERO] * len(occs)
+        for occ, coeff, exp in terms:
+            vec[index[occ]] = Laurent.x(exp, coeff)
+        vectors.append(vec)
     return ExactLoweringKernel(n, N, occs, vectors)

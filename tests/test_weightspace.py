@@ -15,7 +15,7 @@ from braidosc.oscillator import (
     marked_context,
 )
 from braidosc import weightspace
-from braidosc.scalars import DEFAULT_TOLS, L_ONE, Tolerances, close
+from braidosc.scalars import DEFAULT_TOLS, Tolerances, close
 from braidosc.weightspace import (
     DimensionMismatchError,
     compositions,
@@ -48,6 +48,11 @@ class TestCounting:
     def test_composition_enumeration(self):
         assert compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
         assert len(compositions(3, 4)) == 20
+        # a negative total has no compositions, whatever the slot count
+        assert compositions(-1, 1) == compositions(-1, 2) == compositions(-1, 0) == []
+        one = homogeneous_context(1, 1.2, 0.7, 0.6)
+        block = weightspace._coproduct_block(one, "a-", one.identity_perm(), 0, -1)
+        assert block.shape == (0, 1)
 
     def test_monomial_order_is_word_order(self):
         # descending lex on exponents = products read left to right
@@ -158,6 +163,17 @@ class TestMonomialBasis:
             lowest_weight_monomials(mctx3, 2, None, tols)
 
 
+def test_span_residual_rejects_zero_vector(hctx3):
+    from braidosc.oscillator import WeightVector
+
+    kern = lowest_weight_kernel(hctx3, 2).vectors
+    zero = WeightVector(hctx3)
+    # the relative defect of a zero vector is undefined, in any position
+    for vectors in ([zero] + kern, kern + [zero], [zero]):
+        with pytest.raises(ValueError, match="is zero"):
+            span_residual(vectors, kern)
+
+
 @pytest.mark.parametrize("build", [lowest_weight_kernel, lowest_weight_monomials])
 def test_coords_are_the_vectors(build, mctx3):
     for N in range(3):
@@ -248,18 +264,41 @@ class TestExactKernel:
         assert K.rank() == lowest_weight_dimension(n, N) == math.comb(n + N - 2, n - 2)
 
     def test_corrupted_vector_fails_annihilation(self, monkeypatch):
-        # one entry of one primitive kernel vector moves by 1 after the solve
-        clear = weightspace._clear_denominators
+        # the coefficient of one term of the first product vector moves by 1
+        terms = weightspace._kernel_terms
         seen = []
 
-        def corrupt_first(vec):
-            seen.append(vec)
-            out = clear(vec)
-            return [out[0] + L_ONE] + out[1:] if len(seen) == 1 else out
+        def corrupt_first(fc):
+            seen.append(fc)
+            out = list(terms(fc))
+            if len(seen) == 1:
+                occ, coeff, exp = out[0]
+                out[0] = occ, coeff + 1, exp
+            return iter(out)
 
-        monkeypatch.setattr(weightspace, "_clear_denominators", corrupt_first)
+        monkeypatch.setattr(weightspace, "_kernel_terms", corrupt_first)
         with pytest.raises(BraidoscError, match="fails A v = 0"):
             lowest_weight_kernel_exact(4, 2)
+
+    def test_two_slots_level_seventy_big_integers(self):
+        # C(70, 35) passes 2**63: entries must come back as exact integers
+        n, N, x0 = 2, 70, 3
+        ek = lowest_weight_kernel_exact(n, N)
+        assert ek.occupations == [(k, N - k) for k in range(N + 1)]
+        (vec,) = ek.vectors
+        mid = vec[ek.occupations.index((35, 35))]
+        assert math.comb(70, 35) > 2 ** 63
+        assert mid.terms == {35: -math.comb(70, 35)}
+        # rows of the rescaled lowering map in Python ints at x = x0:
+        # row low has (low_j + 1) x0**(j + 1) in column low + e_j
+        values = [sum(c * x0 ** e for e, c in entry.terms.items()) for entry in vec]
+        assert all(v.denominator == 1 for v in values)
+        for low in compositions(N - 1, n):
+            total = 0
+            for j in range(n):
+                up = low[:j] + (low[j] + 1,) + low[j + 1:]
+                total += (low[j] + 1) * x0 ** (j + 1) * int(values[ek.occupations.index(up)])
+            assert total == 0
 
     def test_kernel_matches_numeric_span(self):
         # exact coordinates, evaluated at a numeric point, land in the
@@ -332,7 +371,9 @@ class TestErrors:
         lambda: lowest_weight_dimension(1, 2),
         lambda: weight_dimension(0, 2),
         lambda: counts(1, 2),
-    ], ids=["lowest-weight-dimension", "weight-dimension", "counts"])
+        lambda: lowest_weight_monomials(homogeneous_context(1, 1.2, 0.7, 0.6), 0),
+        lambda: lowest_weight_monomials(homogeneous_context(1, 1.2, 0.7, 0.6), 1),
+    ], ids=["lowest-weight-dimension", "weight-dimension", "counts", "monomials-level-0", "monomials-level-1"])
     def test_rejects_too_few_slots(self, call):
         with pytest.raises(ValueError, match="n must be"):
             call()
