@@ -51,7 +51,9 @@ from .oscillator import BraidoscError, _act
 from .weightspace import (
     _occupations,
     _operator_block,
+    _rank,
     _weight_matrix,
+    lowest_weight_dimension,
     lowest_weight_monomials,
     monomial_exponents,
 )
@@ -227,14 +229,10 @@ def _rewrite_table(i, exps):
     Terms run by column, then a, then b.
 
     ``exps`` holds every weak composition of N in descending lex order, so
-    an image's row is its rank in the combinatorial number system: parts
-    p_0 .. p_{m-1} with suffix sums s_j = p_j + ... + p_{m-1} come after
-    sum_j C(s_{j+1} + m - 2 - j, m - 1 - j) compositions (j < m - 1).
+    an image's row is d - 1 - its ascending-lex ``_rank``.
     """
     exps = np.array(exps, np.int64).reshape(len(exps), -1)
-    d, m = exps.shape
-    top = int(exps[0].sum()) + m
-    binom = np.array([[math.comb(x, y) for y in range(top)] for x in range(top)], np.int64)
+    d = len(exps)
     p = np.pad(exps, ((0, 0), (1, 1)))  # p[:, k] is the power of O_k, with absent O_0 and O_n
     per = (p[:, i - 1] + 1) * (p[:, i + 1] + 1)
     col = np.repeat(np.arange(d), per)
@@ -242,10 +240,11 @@ def _rewrite_table(i, exps):
     a, b = np.divmod(np.arange(len(col)) - np.repeat(np.cumsum(per) - per, per), right + 1)
     image = p[col]
     image[:, i - 1], image[:, i], image[:, i + 1] = a, mid + left - a + right - b, b
-    suffix = np.cumsum(image[:, m:1:-1], axis=1)[:, ::-1]  # s_1 .. s_{m-1}
-    j = np.arange(m - 1)
-    row = binom[suffix + m - 2 - j, m - 1 - j].sum(axis=1)
+    row = d - 1 - _rank(image[:, 1:-1])
     counts = np.stack((mid, a, left - a, b, right - b))
+    # C(p, a) for the neighbour powers p <= N that occur
+    top = int(p[:, [i - 1, i + 1]].max())
+    binom = np.array([[math.comb(x, y) for y in range(top + 1)] for x in range(top + 1)], np.int64)
     return row, col, counts, binom[left, a] * binom[right, b]
 
 
@@ -348,11 +347,8 @@ def _entries_json(entries):
 
 
 def monomial_basis_elements(n, N, sectors):
-    return [
-        BasisElement(tuple(sec), powers)
-        for sec in sectors
-        for powers in monomial_exponents(n, N)
-    ]
+    exps = monomial_exponents(n, N)
+    return [BasisElement(tuple(sec), powers) for sec in sectors for powers in exps]
 
 
 def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
@@ -405,7 +401,7 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
 def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
     sectors = ctx.distinct_sectors()
     basis = monomial_basis_elements(n, N, sectors)
-    d = len(monomial_exponents(n, N))
+    d = lowest_weight_dimension(n, N)
     rows = _occupations(N, n)
     # per sector: row offset, monomial coordinates V, Gram V^T V
     per_sector = {}
@@ -481,7 +477,9 @@ def build_matrices(
     case the constant vacuum factor q**(-2 c gamma) per generator is
     reported in the phase instead of the entries.  ``formula`` ("closed"
     or "series") picks the two-slot amplitude of the direct route; the
-    other routes check it and do not use it.
+    other routes check it and do not use it.  What a route would ignore
+    raises ValueError: a context of another n, ``renormalize=False`` on the
+    exact backend, and homogeneous labels on the numeric closed-form route.
     """
     _check_size("n", n, 2)
     _check_size("N", N, 0)
@@ -490,9 +488,13 @@ def build_matrices(
         backend = "numeric" if ctx is not None else "laurent"
     if backend not in ("laurent", "numeric"):
         raise ValueError("backend must be 'laurent' or 'numeric', got %r" % (backend,))
+    if ctx is not None and n != ctx.n:
+        raise ValueError("n does not match the context")
     if backend == "laurent":
         if ctx is not None and not ctx.is_homogeneous():
             raise ValueError("exact backend requires homogeneous labels")
+        if renormalize not in (None, True):
+            raise ValueError("the exact backend always keeps the vacuum factor in the phase")
         if route == "closed_form":
             return closed_form_family(n, N, inverse=inverse)
         if route != "rewrite":
@@ -500,8 +502,6 @@ def build_matrices(
         return _matrices_rewrite(n, N, None, "laurent", inverse, True)
     if ctx is None:
         raise ValueError("numeric backend requires a context")
-    if n != ctx.n:
-        raise ValueError("n does not match the context")
     renorm = ctx.is_homogeneous() if renormalize is None else renormalize
     if renorm and not ctx.is_homogeneous():
         raise ValueError("renormalization needs homogeneous labels")
@@ -510,6 +510,8 @@ def build_matrices(
     if route == "direct":
         return _matrices_direct(n, N, ctx, inverse, renorm, formula, tols)
     if route == "closed_form":
+        if ctx.is_homogeneous():
+            raise ValueError("homogeneous closed forms are exact: use the laurent backend")
         return closed_form_family(n, N, ctx=ctx, inverse=inverse)
     raise ValueError("unknown route %r" % (route,))
 
@@ -1073,7 +1075,7 @@ class _BlockMatrix:
 def _operand(mat):
     """A family member's float entries as blocks, exact entries as an exact matrix."""
     if isinstance(mat.entries, np.ndarray):
-        return _BlockMatrix.from_dense(mat.entries, len(monomial_exponents(mat.n, mat.N)))
+        return _BlockMatrix.from_dense(mat.entries, lowest_weight_dimension(mat.n, mat.N))
     return _exact(mat.entries)
 
 

@@ -5,8 +5,9 @@ matrices), ``dims`` (dimension tables), ``verify`` (run verification
 suites), and ``word`` (evaluate a braid word as an ordered matrix
 product).  JSON is the canonical interchange format; CSV entry export
 is numeric-only and lossy.  Exit codes: 0 success, 1 invariant
-violation during computation, 2 invalid configuration (unknown options,
-n < 2, N < 0, non-finite q or labels, out-of-range word letters).
+violation or int64 overflow of an exact coefficient during computation,
+2 invalid configuration (unknown options, n < 2, N < 0, non-finite q or
+labels, out-of-range word letters, options the chosen route ignores).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .weightspace import counts
 from .braid import _entries_json, _word_product, build_matrices, family_to_json
 
 
-def _rep_args(p, with_route=True):
+def _rep_args(p):
     p.add_argument("--n", type=int, required=True, help="number of tensor slots")
     p.add_argument("--N", type=int, required=True, help="total occupation level")
     grp = p.add_mutually_exclusive_group()
@@ -36,9 +37,7 @@ def _rep_args(p, with_route=True):
     p.add_argument("--q", type=float, default=0.6)
     p.add_argument("--backend", choices=("numeric", "laurent"), default=None,
                    help="laurent = exact in x = q**(-gamma), homogeneous only")
-    if with_route:
-        p.add_argument("--route", choices=("rewrite", "direct", "closed_form"), default="rewrite")
-    p.add_argument("--inverse", action="store_true")
+    p.add_argument("--route", choices=("rewrite", "direct", "closed_form"), default="rewrite")
 
 
 def _build_context(args):
@@ -61,15 +60,15 @@ def _build_context(args):
     return homogeneous_context(args.n, args.gamma, args.c, args.q)
 
 
-def _build_family(args):
+def _build_family(args, inverse):
     backend = args.backend or "numeric"
     if backend == "laurent" and (args.het or args.labels):
         print("laurent backend requires homogeneous labels", file=sys.stderr)
         raise SystemExit(2)
     return build_matrices(
-        args.n, args.N, route=getattr(args, "route", "rewrite"), backend=backend,
+        args.n, args.N, route=args.route, backend=backend,
         ctx=_build_context(args) if backend == "numeric" else None,
-        inverse=args.inverse,
+        inverse=inverse,
     )
 
 
@@ -113,7 +112,7 @@ def _emit(text, path):
 
 def cmd_matrix(args):
     try:
-        mats = _build_family(args)
+        mats = _build_family(args, args.inverse)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -186,10 +185,8 @@ def cmd_word(args):
         print("word letters must be nonzero with |letter| < n", file=sys.stderr)
         return 2
     try:
-        fwd = _build_family(args)
-        args_inv = argparse.Namespace(**vars(args))
-        args_inv.inverse = True
-        inv = _build_family(args_inv) if any(t < 0 for t in letters) else None
+        fwd = _build_family(args, False)
+        inv = _build_family(args, True) if any(t < 0 for t in letters) else None
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -215,6 +212,7 @@ def build_parser():
 
     p = sub.add_parser("matrix", help="generate braid generator matrices")
     _rep_args(p)
+    p.add_argument("--inverse", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", type=str, default=None)
     p.set_defaults(func=cmd_matrix)
@@ -245,7 +243,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BraidoscError as exc:
+    except (BraidoscError, OverflowError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -6,6 +6,9 @@ lowering operator; the same space is spanned by monomials in the slot
 intertwiners applied to the vacuum.  Both constructions are provided so
 they can be cross-checked, together with the Casimir block decomposition
 of the full weight space.
+
+``_occupations`` lists a level's weak compositions in ascending lex order,
+and ``_rank`` gives any composition's position in that list.
 """
 
 from __future__ import annotations
@@ -33,17 +36,7 @@ class DimensionMismatchError(BraidoscError):
 
 def compositions(total, parts):
     """Weak compositions of ``total`` into ``parts`` slots, ascending lex."""
-    if total < 0:
-        return []
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return list(map(tuple, _occupations(total, parts).tolist()))
 
 
 def monomial_exponents(n, N):
@@ -51,9 +44,9 @@ def monomial_exponents(n, N):
 
     Word order reads a monomial as the sorted string of its indices, so
     for n=3, N=2 the order is (2,0), (1,1), (0,2), matching the
-    conventional listing O_1 O_1, O_1 O_2, O_2 O_2.
+    conventional listing O_1 O_1, O_1 O_2, O_2 O_2: descending lex.
     """
-    return sorted(compositions(N, n - 1), reverse=True)
+    return compositions(N, n - 1)[::-1]
 
 
 def weight_dimension(n, N):
@@ -102,11 +95,8 @@ def weight_basis(ctx, N, sector=None):
         sectors = ctx.distinct_sectors()
     else:
         sectors = [ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)]
-    states = [
-        TensorState(perm, occ)
-        for perm in sectors
-        for occ in compositions(N, ctx.n)
-    ]
+    occs = compositions(N, ctx.n)
+    states = [TensorState(perm, occ) for perm in sectors for occ in occs]
     label = "all" if sector == "all" else sectors[0]
     return WeightSpaceBasis(ctx, N, label, states)
 
@@ -153,24 +143,53 @@ def operator_matrix(op, domain, codomain):
 
 
 def _occupations(N, n):
-    """compositions(N, n) as an int array, one row per state."""
-    return np.array(compositions(N, n), np.int64).reshape(-1, n)
+    """Weak compositions of N into n slots as int64 rows, ascending lex.
+
+    Stars and bars: ``combinations_with_replacement`` lists the numbers of
+    stars before the n - 1 bars in lex order, which is ascending lex order
+    of the parts.
+    """
+    if N < 0 or n == 0:
+        return np.zeros((int(N == n == 0), n), np.int64)
+    count = math.comb(N + n - 1, n - 1)
+    stars = np.zeros((count, n + 1), np.int64)
+    stars[:, n] = N
+    chain = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(N + 1), n - 1))
+    stars[:, 1:n] = np.fromiter(chain, np.int64, count * (n - 1)).reshape(count, n - 1)
+    return stars[:, 1:] - stars[:, :-1]
+
+
+def _rank(rows):
+    """Ascending-lex position of each row among the compositions of its total.
+
+    The rows are nonnegative and share one total.  With suffix sums R_j =
+    p_j + ... + p_{m-1} (R_m = 0) the position is the sum over j of
+    C(R_j + m-1-j, R_j) - C(R_{j+1} + m-1-j, R_{j+1}), which Pascal's rule
+    telescopes to d - 1 - sum_{j >= 1} C(R_j + m-1-j, m-j), d the level
+    size: one binomial per slot, none larger than d.
+    """
+    m = rows.shape[1]
+    R = rows[:, ::-1].cumsum(axis=1)  # R[:, t] = R_j for j = m-1-t
+    # comb[s][t] = C(s + t - 1, t): a zero row, a row of ones, then each row the running sum of the last
+    comb = [[0] * (m + 1), [1] * (m + 1)]
+    for _ in range(R[0, -1] if R.size else 0):
+        comb.append(list(itertools.accumulate(comb[-1])))
+    # comb[R_j][m - j] = C(R_j + m-1-j, m-j), and comb[total + 1][m - 1] = d (1 if m = 0)
+    return comb[-1][m - 1] - 1 - np.array(comb, np.int64)[R[:, :-1], np.arange(1, m)].sum(axis=1)
 
 
 def _operator_block(op, sector, dom, cod):
     """Target sector and matrix of an operator on one sector's rows ``dom``.
 
     ``op`` gives each (target, source) pair once.  ``cod`` is a whole level
-    in ascending lex order, so its integer codes in base total + 1 ascend
-    and one searchsorted places every target row.
+    in ascending lex order, so each target row sits at its ``_rank``.
     """
     src, target, rows, amp = op(sector, dom)
     total = int(cod[0].sum()) if len(cod) else -1
-    if (rows.sum(axis=1) != total).any():
+    if (rows.sum(axis=1) != total).any() or rows.min(initial=0) < 0:
         raise BraidoscError("operator image leaves the codomain")
-    place = (total + 1) ** np.arange(cod.shape[1] - 1, -1, -1)
     block = np.zeros((len(cod), len(dom)))
-    block[np.searchsorted(cod @ place, rows @ place), src] = amp
+    block[_rank(rows), src] = amp
     return target, block
 
 

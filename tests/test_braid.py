@@ -521,6 +521,23 @@ def test_rewrite_table_ranks_images_like_a_lookup(n):
                 assert g.dtype == np.int64 and np.array_equal(g, w), (n, N, i)
 
 
+@pytest.mark.parametrize("n", [68, 70])
+def test_many_slots_rewrite_on_both_backends(n):
+    # C(n, n // 2) > 2**63: ranking the images may use no binomial above the level size
+    exact = build_matrices(n, 1)
+    numeric = build_matrices(n, 1, ctx=homogeneous_context(n, 1.0, 0.5, 0.6))
+    for e, m in zip(exact, numeric):
+        assert e.phase == m.phase
+        assert np.max(np.abs(e.entries.matrix.at(0.6 ** -1.0) - m.entries)) < 1e-12
+
+
+def test_many_slots_direct_matches_rewrite():
+    # (N + 1)**(n - 1) = 2**63: a row's integer code in base N + 1 would not fit int64
+    ctx = homogeneous_context(64, 1.0, 0.5, 0.6)
+    for a, b in zip(build_matrices(64, 1, route="direct", ctx=ctx), build_matrices(64, 1, ctx=ctx)):
+        assert np.max(np.abs(a.entries - b.entries)) <= DEFAULT_TOLS.route_match * np.max(np.abs(b.entries))
+
+
 class TestExactStorage:
     """Exact entries are a read-only view of the stored triplets."""
 
@@ -679,7 +696,13 @@ class TestRoutes:
          "backend must be"),
         (lambda: build_matrices(3, 1, backend="bogus"), "backend must be"),
         (lambda: evaluate_word([], [], None), "empty generator family"),
-    ], ids=["backend-with-context", "backend-without-context", "word-on-empty-family"])
+        (lambda: build_matrices(3, 1, route="closed_form", ctx=homogeneous_context(3, 1.0, 0.5, 0.6)),
+         "closed forms are exact"),
+        (lambda: build_matrices(3, 1, renormalize=False), "exact backend"),
+        (lambda: build_matrices(3, 1, backend="laurent", ctx=homogeneous_context(4, 1.0, 0.5, 0.6)),
+         "n does not match"),
+    ], ids=["backend-with-context", "backend-without-context", "word-on-empty-family",
+            "numeric-homogeneous-closed-form", "exact-without-renormalize", "exact-context-of-other-n"])
     def test_rejects_invalid_input(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

@@ -202,6 +202,8 @@ class TestCliInvalidInput:
         ["word", "--n", "3", "--N", "1", "--q", "nan", "--word", "1"],
         ["matrix", "--n", "3", "--N", "2", "--route", "direct", "--binomial", "multiset"],
         ["word", "--n", "3", "--N", "-1", "--word", "1"],
+        ["word", "--n", "3", "--N", "1", "--backend", "laurent", "--inverse", "--word", "1 -1"],
+        ["matrix", "--n", "3", "--N", "1", "--route", "closed_form"],
     ])
     def test_exits_two(self, argv, capsys):
         try:
@@ -225,6 +227,14 @@ class TestCliWord:
         assert doc["phase"] == {"exponent": "0", "factor": "1.0"}
         assert doc["entries"][0][0] == {"terms": [[0, "1"]]}
         assert doc["entries"][0][1] == {"terms": []}
+
+    def test_exact_overflow_exits_one(self, capsys):
+        word = " ".join(["1 -2"] * 40)
+        rc = cli.main(["word", "--n", "3", "--N", "2", "--backend", "laurent", "--word", word])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "int64" in captured.err
 
     def test_rejects_zero_letter(self, capsys):
         rc = cli.main(["word", "--n", "3", "--N", "1", "--word", "1 0"])

@@ -44,7 +44,34 @@ def mctx3():
     return marked_context(3, RepLabel(1.0, 0.4), RepLabel(1.7, 1.2), 2, 0.55)
 
 
+def _compositions_by_recursion(total, parts):
+    """Weak compositions in ascending lex by recursion on the first part, as a reference."""
+    if total < 0:
+        return []
+    if parts == 0:
+        return [()] if total == 0 else []
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _compositions_by_recursion(total - first, parts - 1)]
+
+
 class TestCounting:
+    def test_enumerations_match_the_recursive_reference(self):
+        for parts in range(8):
+            for total in range(-1, 7):
+                want = _compositions_by_recursion(total, parts)
+                occ = weightspace._occupations(total, parts)
+                assert occ.dtype == np.int64 and occ.shape == (len(want), parts)
+                assert list(map(tuple, occ.tolist())) == compositions(total, parts) == want
+                assert monomial_exponents(parts + 1, total) == sorted(want, reverse=True)
+
+    def test_rank_is_the_position_in_the_level(self):
+        for parts in range(8):
+            for total in range(-1, 7):
+                occ = weightspace._occupations(total, parts)
+                assert np.array_equal(weightspace._rank(occ), np.arange(len(occ))), (total, parts)
+
     def test_composition_enumeration(self):
         assert compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
         assert len(compositions(3, 4)) == 20
@@ -207,6 +234,21 @@ class TestDecomposition:
         assert rep.block_dims == rep.expected_block_dims == [1, 3, 6, 10]
         assert rep.rank == rep.weight_dim == 20
         assert [rep.eigen_multiplicities.get(j, 0) for j in range(4)] == [1, 3, 6, 10]
+
+
+class TestManySlots:
+    """Levels with (N + 1)**(n - 1) > 2**63, where a row's code in base N + 1 leaves int64."""
+
+    def test_monomials(self):
+        ctx = homogeneous_context(41, 1.0, 0.5, 0.6)
+        lw = lowest_weight_monomials(ctx, 2)
+        assert lw.coords.shape == (weight_dimension(41, 2), lowest_weight_dimension(41, 2))
+
+    def test_decomposition_block_dims(self):
+        # passed stays False: the Casimir residual is above 1e-8 from about n = 30
+        rep = verify_decomposition(homogeneous_context(41, 1.0, 0.5, 0.6), 2)
+        assert rep.block_dims == rep.expected_block_dims == [1, 40, 820]
+        assert rep.rank == rep.weight_dim == 861
 
 
 class TestExactKernel:
@@ -384,6 +426,13 @@ class TestErrors:
         op = lambda perm, occ: weightspace._coproduct_terms(mctx3, gen, perm, occ)
         with pytest.raises(BraidoscError, match="leaves the codomain"):
             weightspace._operator_block(op, mctx3.identity_perm(), dom, cod)
+
+    def test_operator_block_rejects_negative_occupation(self, mctx3):
+        # the level's total, but one slot below zero
+        op = lambda perm, occ: (np.zeros(1, np.intp), perm, np.array([[3, -1, 0]]), np.ones(1))
+        level = weightspace._occupations(2, 3)
+        with pytest.raises(BraidoscError, match="leaves the codomain"):
+            weightspace._operator_block(op, mctx3.identity_perm(), level, level)
 
     def test_kernel_rejects_short_arrangement(self, hctx3):
         with pytest.raises(ValueError, match="not a permutation"):
