@@ -1,22 +1,29 @@
-"""Size ladder of the exact (Laurent) backend: where its cost curve bends.
+"""Size ladders of the exact (Laurent) backend and of the direct route:
+where their cost curves bend.
 
-    python3 scripts/exact_sizes.py [--sizes 8,5 10,5 12,5 14,5] [--budget S]
-                                   [--mem-cap GB] [--src DIR]
+    python3 scripts/exact_sizes.py [--ladder exact|direct] [--sizes ...]
+                                   [--budget S] [--mem-cap GB] [--src DIR]
 
-Each rung (n, N) runs in a fresh process with one BLAS thread and times
+An exact rung is "n,N"; the exact ladder is (8,5) -> (14,5).  A direct
+rung is "n,N,distinct" (n! sectors, all labels different) or
+"n,N,homogeneous" (one sector); the direct ladder is all-distinct (5,3),
+(5,4), (6,1), (6,2), then homogeneous (8,5) and (10,4), numeric with
+q = 0.6.  Each rung runs in a fresh process with one BLAS thread and times
 the forward build, the inverse build, ``braid_relation_defect`` on the
 forward family, ``inverse_defect`` and ``family_to_json`` of the forward
 family.  ``peak_rss_mb`` is read after the checks and ``export_peak_rss_mb``
-after the export.  The last line of output is one JSON object.
+after the export.  ``d`` is the matrix dimension: sectors times
+C(n+N-2, N).  The last line of output is one JSON object.
 
 Guards: the ladder stops after the first rung that takes longer than
 ``--budget`` seconds (that rung is killed at the budget).  Before a rung
-starts, its nested-list footprint is predicted from d = C(n+N-2, N) at
-8 bytes per list slot: (n-1) d**2 slots for the export, and twice that
-again for the two builds when the package keeps exact entries as nested
-lists.  A rung whose builds alone pass ``--mem-cap`` is skipped, and a
-rung whose export would pass it runs without the export; nothing of
-either is allocated.  ``--src`` measures another checkout's ``src/``.
+starts, its footprint is predicted from d at 8 bytes per list slot or
+float: (n-1) d**2 slots for the export, and twice that again for the two
+builds when the family is stored dense (direct families, or exact entries
+kept as nested lists).  A rung whose builds alone pass ``--mem-cap`` is
+skipped, and a rung whose export would pass it runs without the export;
+nothing of either is allocated.  ``--src`` measures another checkout's
+``src/``.
 """
 
 import os
@@ -34,21 +41,50 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SLOT_BYTES = 8
+LADDERS = {
+    "exact": ["8,5", "10,5", "12,5", "14,5"],
+    "direct": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct",
+               "8,5,homogeneous", "10,4,homogeneous"],
+}
 
 
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_rung(n, N, export):
-    """Time one rung in this process; returns its JSON record."""
-    from braidosc import braid_relation_defect, build_matrices, family_to_json, inverse_defect
+def parse_rung(size):
+    """(n, N, labels) of an "n,N" or "n,N,labels" rung; labels is None for exact rungs."""
+    n, N, *labels = size.split(",")
+    if labels not in ([], ["distinct"], ["homogeneous"]):
+        raise SystemExit("rung %r: labels must be 'distinct' or 'homogeneous'" % size)
+    return int(n), int(N), (labels or [None])[0]
 
-    out = {"n": n, "N": N, "d": math.comb(n + N - 2, N)}
+
+def dimension(n, N, labels):
+    return (math.factorial(n) if labels == "distinct" else 1) * math.comb(n + N - 2, N)
+
+
+def family_builder(n, labels):
+    """build_matrices for the rung's route: exact, or direct on the rung's labels."""
+    from braidosc import Context, RepLabel, build_matrices
+
+    if labels is None:
+        return lambda N, inverse: build_matrices(n, N, inverse=inverse)
+    count = n if labels == "distinct" else 1
+    ctx = Context([RepLabel(1.0 + 0.1 * (k % count), 0.5 + 0.2 * (k % count)) for k in range(n)], 0.6)
+    return lambda N, inverse: build_matrices(n, N, route="direct", ctx=ctx, inverse=inverse)
+
+
+def run_rung(n, N, labels, export):
+    """Time one rung in this process; returns its JSON record."""
+    from braidosc import braid_relation_defect, family_to_json, inverse_defect
+
+    build = family_builder(n, labels)
+    out = {"n": n, "N": N, "d": dimension(n, N, labels)}
     t0 = time.perf_counter()
-    fwd = build_matrices(n, N)
+    fwd = build(N, False)
     t1 = time.perf_counter()
-    inv = build_matrices(n, N, inverse=True)
+    inv = build(N, True)
     t2 = time.perf_counter()
     relation = braid_relation_defect(fwd)
     t3 = time.perf_counter()
@@ -65,7 +101,7 @@ def run_rung(n, N, export):
 
 
 def stores_lists():
-    """True when the package keeps exact entries as nested lists."""
+    """True when the package keeps exact entries as nested lists, which are dense."""
     from braidosc import build_matrices
 
     return isinstance(build_matrices(3, 1)[0].entries, list)
@@ -73,35 +109,42 @@ def stores_lists():
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--sizes", nargs="+", default=["8,5", "10,5", "12,5", "14,5"], help="n,N per rung")
+    p.add_argument("--ladder", choices=sorted(LADDERS), default="exact", help="exact backend or direct route")
+    p.add_argument("--sizes", nargs="+", help="n,N (exact) or n,N,distinct|homogeneous (direct) per rung")
     p.add_argument("--budget", type=float, default=60.0, help="seconds per rung")
-    p.add_argument("--mem-cap", type=float, default=2.0, help="GB of predicted nested lists")
+    p.add_argument("--mem-cap", type=float, default=2.0, help="GB of predicted dense entries and export lists")
     p.add_argument("--src", default=SRC, help="src/ directory of the checkout to measure")
-    p.add_argument("--rung", nargs=2, type=int, help=argparse.SUPPRESS)
+    p.add_argument("--rung", help=argparse.SUPPRESS)
     p.add_argument("--no-export", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     if args.rung:
-        print(json.dumps(run_rung(*args.rung, export=not args.no_export)))
+        print(json.dumps(run_rung(*parse_rung(args.rung), export=not args.no_export)))
         return 0
 
-    lists = stores_lists()
+    sizes = args.sizes or LADDERS[args.ladder]
+    rungs = [parse_rung(size) for size in sizes]
+    if any((labels is None) != (args.ladder == "exact") for _, _, labels in rungs):
+        raise SystemExit("exact rungs are n,N and direct rungs n,N,labels")
+    dense = args.ladder == "direct" or stores_lists()
     cap = args.mem_cap * 2 ** 30
-    report = {"budget_s": args.budget, "mem_cap_gb": args.mem_cap, "stores_lists": lists, "rungs": []}
-    for size in args.sizes:
-        n, N = map(int, size.split(","))
-        d = math.comb(n + N - 2, N)
+    report = {"ladder": args.ladder, "budget_s": args.budget, "mem_cap_gb": args.mem_cap, "stores_dense": dense,
+              "rungs": []}
+    for size, (n, N, labels) in zip(sizes, rungs):
+        d = dimension(n, N, labels)
         export_bytes = (n - 1) * d * d * SLOT_BYTES
-        build_bytes = 2 * export_bytes if lists else 0
-        rung = {"n": n, "N": N, "d": d, "predicted_lists_gb": (build_bytes + export_bytes) / 2 ** 30}
+        build_bytes = 2 * export_bytes if dense else 0
+        rung = {"n": n, "N": N, "d": d, "predicted_gb": (build_bytes + export_bytes) / 2 ** 30}
+        if labels:
+            rung["labels"] = labels
         if build_bytes > cap:
-            rung["skipped"] = "builds need %.1f GB of nested lists" % (build_bytes / 2 ** 30)
+            rung["skipped"] = "builds need %.1f GB" % (build_bytes / 2 ** 30)
             report["rungs"].append(rung)
             continue
-        cmd = [sys.executable, os.path.abspath(__file__), "--src", args.src, "--rung", str(n), str(N)]
+        cmd = [sys.executable, os.path.abspath(__file__), "--src", args.src, "--rung", size]
         if build_bytes + export_bytes > cap:
             cmd.append("--no-export")
-            rung["export_skipped"] = "export needs %.1f GB of nested lists" % (export_bytes / 2 ** 30)
+            rung["export_skipped"] = "export needs %.1f GB" % (export_bytes / 2 ** 30)
         t0 = time.perf_counter()
         try:
             done = subprocess.run(cmd, capture_output=True, text=True, timeout=args.budget, check=True)

@@ -6,9 +6,11 @@ slot labels.  Restricted to a lowest-weight subspace they yield finite
 matrices, computed here by two deliberately independent routes:
 
 * ``direct``: expand basis vectors in tensor coordinates (occupation
-  arrays), apply the two-slot transition formula as a matrix built by
+  arrays), apply the two-slot transition formula as matrices built by
   index arithmetic, and re-express the image through a Gram solve
-  (numeric backend only);
+  (numeric backend only).  Sectors share their index pattern and differ
+  only in label scalars, so one monomial build covers every sector, and
+  each generator is one operator call and one stacked Gram solve;
 * ``rewrite``: commute the generator through intertwiner monomials with
   the exchange relations.  Each O_{i-1} or O_{i+1} factor is either kept
   or turned into O_i, and all paths that keep the same numbers a and b
@@ -47,11 +49,12 @@ from .scalars import (
     Phase,
     _check_size,
 )
-from .oscillator import BraidoscError, _act
+from .oscillator import BraidoscError, _act, _qpow_each, _slot_labels
 from .weightspace import (
     _occupations,
     _operator_block,
     _rank,
+    _sector_major,
     _weight_matrix,
     lowest_weight_dimension,
     lowest_weight_monomials,
@@ -66,7 +69,7 @@ class GramSolveError(BraidoscError):
 # ---------------------------------------------------------------------------
 # two-slot transition amplitudes (tensor-coordinate action)
 
-def _braid_closed(ctx, g, inverse, binomial, perm, occ):
+def _braid_closed(ctx, g, inverse, binomial, sectors, occ):
     """Closed-form braid action on slots g, g+1 (0-based).
 
     Forward: R-matrix on the pair, then swap.  Inverse: swap first, then
@@ -75,13 +78,13 @@ def _braid_closed(ctx, g, inverse, binomial, perm, occ):
     move from the label on slot a to the one on slot b with amplitude w**k.
     """
     a, b = (g + 1, g) if inverse else (g, g + 1)
-    lf = ctx.labels[perm[a]]
-    ls = ctx.labels[perm[b]]
+    ga, ca, sa, _ = _slot_labels(ctx, sectors, a)
+    gb, cb, sb, _ = _slot_labels(ctx, sectors, b)
     src = np.repeat(np.arange(len(occ)), occ[:, a] + 1)
     # k counts the terms of each source row
     k = np.arange(len(src)) - np.searchsorted(src, src)
     f, s = occ[src, a], occ[src, b]
-    pref = ctx.qpow(-((f + lf.c) * ls.gamma + (s + ls.c) * lf.gamma), inverse)
+    pref = ctx.qpow(-((f + ca) * gb + (s + cb) * ga), inverse)
     fks = zip(f.tolist(), k.tolist(), s.tolist())
     if binomial == "series":
         bf = np.sqrt([math.comb(m, j) * math.comb(mp + j, mp) for m, j, mp in fks])
@@ -90,15 +93,14 @@ def _braid_closed(ctx, g, inverse, binomial, perm, occ):
     # (q - 1/q) sqrt([gamma_a][gamma_b]) q**((gamma_b - gamma_a)/2), signed for q on either side
     # of 1 by itself; its square is (1 - q**(-2 gamma_a)) (q**(2 gamma_b) - 1)
     qq = ctx.qpow(1, inverse)
-    w = (qq - 1 / qq) * ctx.sqrt_qn[perm[a]] * ctx.sqrt_qn[perm[b]]
-    w *= ctx.qpow((ls.gamma - lf.gamma) / 2, inverse)
-    wk = np.cumprod([1.0] + [w] * int(occ[:, a].max(initial=0)))
+    w = (qq - 1 / qq) * sa * sb * _qpow_each(ctx, (gb - ga) / 2, inverse)
+    wk = np.cumprod(np.hstack([np.ones_like(w)] + [w] * int(occ[:, a].max(initial=0))), axis=1)
     rows = occ[src]
     rows[:, b], rows[:, a] = f - k, s + k
-    return src, ctx.swapped_perm(perm, g + 1), rows, pref * bf * wk[k]
+    return src, _swapped(ctx, sectors, g), rows, pref * bf * wk[:, k]
 
 
-def _braid_series(ctx, g, inverse, perm, occ):
+def _braid_series(ctx, g, inverse, sectors, occ):
     """Braid action by literal term-by-term series expansion.
 
     Walks the R-matrix exponential one ladder application at a time and
@@ -108,40 +110,41 @@ def _braid_series(ctx, g, inverse, perm, occ):
     matching the closed form.
     """
     a, b = (g + 1, g) if inverse else (g, g + 1)
-    first, second = perm[a], perm[b]
-    lf = ctx.labels[first]
-    ls = ctx.labels[second]
+    ga, ca, sa, _ = _slot_labels(ctx, sectors, a)
+    gb, cb, sb, _ = _slot_labels(ctx, sectors, b)
     qq = ctx.qpow(1, inverse)
-    src, running, cf, cs, terms = np.arange(len(occ)), np.ones(len(occ)), occ[:, a], occ[:, b], []
+    scale, half_b = (qq - 1 / qq) * _qpow_each(ctx, ga / 2, inverse) * sa, _qpow_each(ctx, -gb / 2, inverse)
+    src, running, cf, cs, terms = np.arange(len(occ)), np.ones((len(sectors), len(occ))), occ[:, a], occ[:, b], []
     for k in range(int(cf.max(initial=0)) + 1):
         if k:
             live = cf > 0
-            src, running, cf, cs = src[live], running[live], cf[live], cs[live]
-            step = (
-                (qq - 1 / qq)
-                * ctx.qpow(lf.gamma / 2, inverse) * ctx.sqrt_qn[first] * np.sqrt(cf)
-                * ctx.qpow(-ls.gamma / 2, inverse) * ctx.sqrt_qn[second] * np.sqrt(cs + 1)
-            )
+            src, running, cf, cs = src[live], running[:, live], cf[live], cs[live]
+            step = scale * np.sqrt(cf) * half_b * sb * np.sqrt(cs + 1)
             running = running * step / k
             cf, cs = cf - 1, cs + 1
-        diag = ctx.qpow(-((cf + lf.c) * ls.gamma + (cs + ls.c) * lf.gamma), inverse)
+        diag = ctx.qpow(-((cf + ca) * gb + (cs + cb) * ga), inverse)
         terms.append((src, cf, cs, running * diag))
-    src, cf, cs, amp = map(np.concatenate, zip(*terms))
+    src, cf, cs, amp = (np.concatenate(t, axis=-1) for t in zip(*terms))
     rows = occ[src]
     rows[:, b], rows[:, a] = cf, cs
-    return src, ctx.swapped_perm(perm, g + 1), rows, amp
+    return src, _swapped(ctx, sectors, g), rows, amp
+
+
+def _swapped(ctx, sectors, g):
+    """Canonical sectors after exchanging slots g, g+1 (0-based) of each."""
+    return np.array([ctx.swapped_perm(p, g + 1) for p in sectors.tolist()]).reshape(sectors.shape)
 
 
 def _braid_op(ctx, i, inverse, formula, binomial="series"):
-    """Generator i (1-based) as a function of (sector, occupation rows)."""
+    """Generator i (1-based) as a function of (sectors, occupation rows)."""
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("generator index out of range")
     _check_formula(formula)
     if binomial not in ("series", "multiset"):
         raise ValueError("binomial must be 'series' or 'multiset', got %r" % (binomial,))
     if formula == "closed":
-        return lambda perm, occ: _braid_closed(ctx, i - 1, inverse, binomial, perm, occ)
-    return lambda perm, occ: _braid_series(ctx, i - 1, inverse, perm, occ)
+        return lambda sectors, occ: _braid_closed(ctx, i - 1, inverse, binomial, sectors, occ)
+    return lambda sectors, occ: _braid_series(ctx, i - 1, inverse, sectors, occ)
 
 
 def apply_braid_generator(i, vec, *, inverse=False, formula="closed", binomial="series"):
@@ -176,12 +179,12 @@ def compare_transition_formulas(ctx, m_max=3):
     if ctx.n != 2:
         raise ValueError("transition comparison uses a two-slot context")
     _check_size("m_max", m_max, 0)
-    perm = ctx.identity_perm()
+    perm = np.array([ctx.identity_perm()])
     occ = np.array([(m, mp) for m in range(m_max + 1) for mp in range(m_max + 1)])
-    src, _, rows, closed = _braid_closed(ctx, 0, False, "series", perm, occ)
-    multiset = _braid_closed(ctx, 0, False, "multiset", perm, occ)[3]
+    src, _, rows, (closed,) = _braid_closed(ctx, 0, False, "series", perm, occ)
+    (multiset,) = _braid_closed(ctx, 0, False, "multiset", perm, occ)[3]
     # closed-form terms run by input and then k; put the series terms in that order
-    s_src, _, s_rows, series = _braid_series(ctx, 0, False, perm, occ)
+    s_src, _, s_rows, (series,) = _braid_series(ctx, 0, False, perm, occ)
     series = series[np.lexsort((s_rows[:, 0], s_src))]
     k = rows[:, 0] - occ[src, 1]
     # relative deviation: amplitudes are unbounded in the labels
@@ -380,80 +383,50 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
                 value = mult * math.prod(table[k, counts[k]] for k in range(5)) * vacuum
                 entries[number[new_sec] * d + row, s * d + col] = value
         phase = Phase(sign) if (exact or renormalize) else Phase()
-        mats.append(
-            BraidMatrix(
-                generator=i,
-                inverse=inverse,
-                n=n,
-                N=N,
-                route="rewrite",
-                backend=backend,
-                basis=basis,
-                entries=entries,
-                phase=phase,
-                q=None if exact else float(ctx.q),
-                labels=None if exact else ctx.labels,
-            )
-        )
+        mats.append(BraidMatrix(
+            generator=i, inverse=inverse, n=n, N=N, route="rewrite", backend=backend, basis=basis,
+            entries=entries, phase=phase, q=None if exact else float(ctx.q),
+            labels=None if exact else ctx.labels,
+        ))
     return mats
 
 
 def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
     sectors = ctx.distinct_sectors()
+    number = {sec: k for k, sec in enumerate(sectors)}
     basis = monomial_basis_elements(n, N, sectors)
-    d = lowest_weight_dimension(n, N)
     rows = _occupations(N, n)
-    # per sector: row offset, monomial coordinates V, Gram V^T V
-    per_sector = {}
-    for k, sec in enumerate(sectors):
-        lw = lowest_weight_monomials(ctx, N, sec, tols)
-        per_sector[sec] = (k * d, lw.coords, lw.gram)
-    if renormalize:
-        la = ctx.labels[0]
-        common = float(ctx.qpow(-2 * la.c * la.gamma, inverse))
+    # monomial coordinates V and Gram matrices V^T V, one block per sector
+    lw = lowest_weight_monomials(ctx, N, "all", tols)
+    V, gram = lw.blocks, lw.grams
+    common = float(ctx.qpow(-2 * ctx.labels[0].c * ctx.labels[0].gamma, inverse)) if renormalize else 1.0
     mats = []
     for i in range(1, n):
-        op = _braid_op(ctx, i, inverse, formula)
-        entries = np.zeros((len(basis), len(basis)))
-        worst = 0.0
-        for sec in sectors:
-            c0, V, _ = per_sector[sec]
-            target, S = _operator_block(op, sec, rows, rows)
-            r0, tV, tgram = per_sector[target]
-            image = S @ V
-            try:
-                coeffs = np.linalg.solve(tgram, tV.T @ image)
-                # one step of iterative refinement recovers the digits that
-                # the normal equations lose to the squared condition number
-                coeffs += np.linalg.solve(tgram, tV.T @ (image - tV @ coeffs))
-            except np.linalg.LinAlgError as exc:
-                raise GramSolveError("singular Gram matrix in direct route") from exc
-            resid = np.linalg.norm(image - tV @ coeffs, axis=0) / np.maximum(
-                np.linalg.norm(image, axis=0), 1e-300
+        targets, blocks = _operator_block(_braid_op(ctx, i, inverse, formula), np.array(sectors), rows, rows)
+        t = [number[sec] for sec in map(tuple, targets.tolist())]
+        image, tV, tgram = blocks @ V, V[t], gram[t]
+        tVT = tV.transpose(0, 2, 1)
+        try:
+            coeffs = np.linalg.solve(tgram, tVT @ image)
+            # one step of iterative refinement recovers the digits that
+            # the normal equations lose to the squared condition number
+            coeffs += np.linalg.solve(tgram, tVT @ (image - tV @ coeffs))
+        except np.linalg.LinAlgError as exc:
+            raise GramSolveError("singular Gram matrix in direct route, generator %d" % i) from exc
+        resid = np.linalg.norm(image - tV @ coeffs, axis=1) / np.maximum(np.linalg.norm(image, axis=1), 1e-300)
+        s, m = np.unravel_index(np.argmax(resid), resid.shape)
+        worst = float(resid[s, m])
+        if worst > tols.span_residual:
+            raise GramSolveError(
+                "braid image leaves the lowest-weight span, residual %.2e: generator %d, sector %r, monomial %r"
+                % (worst, i, sectors[s], basis[m].powers)
             )
-            worst = max(worst, float(resid.max()))
-            if worst > tols.span_residual:
-                raise GramSolveError(
-                    "braid image leaves the lowest-weight span, residual %.2e" % worst
-                )
-            entries[r0:r0 + d, c0:c0 + d] = coeffs / common if renormalize else coeffs
         phase = Phase(-1 if inverse else 1) if renormalize else Phase()
-        mats.append(
-            BraidMatrix(
-                generator=i,
-                inverse=inverse,
-                n=n,
-                N=N,
-                route="direct",
-                backend="numeric",
-                basis=basis,
-                entries=entries,
-                phase=phase,
-                q=float(ctx.q),
-                labels=ctx.labels,
-                solve_residual=worst,
-            )
-        )
+        mats.append(BraidMatrix(
+            generator=i, inverse=inverse, n=n, N=N, route="direct", backend="numeric", basis=basis,
+            entries=_sector_major(coeffs / common, t), phase=phase, q=float(ctx.q), labels=ctx.labels,
+            solve_residual=worst,
+        ))
     return mats
 
 
@@ -542,19 +515,10 @@ def closed_form_burau(n, inverse=False):
             M[r][r - 1] = xx
         if r + 1 <= n - 2:
             M[r][r + 1] = xx
-        mats.append(
-            BraidMatrix(
-                generator=i,
-                inverse=inverse,
-                n=n,
-                N=1,
-                route="closed_form",
-                backend="laurent",
-                basis=basis,
-                entries=M,
-                phase=Phase(-1 if inverse else 1),
-            )
-        )
+        mats.append(BraidMatrix(
+            generator=i, inverse=inverse, n=n, N=1, route="closed_form", backend="laurent", basis=basis,
+            entries=M, phase=Phase(-1 if inverse else 1),
+        ))
     return mats
 
 
@@ -612,19 +576,10 @@ def closed_form_lkb(n, inverse=False):
         for col, (a, b) in enumerate(pairs):
             for pair, val in _lkb_image(i, a, b, xx).items():
                 M[pidx[pair]][col] = val
-        mats.append(
-            BraidMatrix(
-                generator=i,
-                inverse=inverse,
-                n=n,
-                N=2,
-                route="closed_form",
-                backend="laurent",
-                basis=basis,
-                entries=M,
-                phase=Phase(-1 if inverse else 1),
-            )
-        )
+        mats.append(BraidMatrix(
+            generator=i, inverse=inverse, n=n, N=2, route="closed_form", backend="laurent", basis=basis,
+            entries=M, phase=Phase(-1 if inverse else 1),
+        ))
     return mats
 
 
@@ -734,21 +689,10 @@ def closed_form_marked_n1(ctx, inverse=False):
                 for (k2, j2), val in _marked_case_images(i, k, j, n, pack).items():
                     row = index[BasisElement(by_pos[j2], unit(k2))]
                     entries[row, col] = float(val)
-        mats.append(
-            BraidMatrix(
-                generator=i,
-                inverse=inverse,
-                n=n,
-                N=1,
-                route="closed_form",
-                backend="numeric",
-                basis=basis,
-                entries=entries,
-                phase=Phase(),
-                q=float(q),
-                labels=ctx.labels,
-            )
-        )
+        mats.append(BraidMatrix(
+            generator=i, inverse=inverse, n=n, N=1, route="closed_form", backend="numeric", basis=basis,
+            entries=entries, phase=Phase(), q=float(q), labels=ctx.labels,
+        ))
     return mats
 
 
@@ -1047,12 +991,7 @@ class _BlockMatrix:
         return _BlockMatrix(np.zeros(1, np.intp), self.dense()[None])
 
     def dense(self):
-        sectors, size, _ = self.blocks.shape
-        if sectors == 1:
-            return self.blocks[0]
-        out = np.zeros((sectors * size, sectors * size))
-        out.reshape(sectors, size, sectors, size)[self.target, :, np.arange(sectors), :] = self.blocks
-        return out
+        return _sector_major(self.blocks, self.target)
 
     def __matmul__(self, other):
         if len(self.target) != len(other.target):

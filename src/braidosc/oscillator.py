@@ -7,13 +7,15 @@ sqrt([gamma]_q) * sqrt(m), the number-type generator has eigenvalue m + c,
 and the central group-like generator has eigenvalue q**(gamma/2).
 
 A state of an n-fold product is a sector (which label sits in which slot)
-plus one occupation per slot.  Each operator is one function of a sector
-and an int array of occupation rows, returning its image terms (source
-row, target sector, target rows, amplitude): ``weightspace`` places them
-in matrices by index arithmetic, and the ``apply_*`` functions run them on
-the states of a :class:`WeightVector`.  Braid generators permute the
-sector; nothing else does.  Public slot and generator indices are
-1-based.  Scalars are plain float64 throughout.
+plus one occupation per slot.  Each operator is one function of a stack
+of S sectors, an (S, n) int array, and an int array of occupation rows,
+returning its image terms: source row, target sectors (S, n), target rows
+and amplitudes (S, terms).  Rows do not depend on the sector, only the
+amplitudes do, through each slot's label scalars.  ``weightspace`` places
+the terms in matrices by index arithmetic, and the ``apply_*`` functions
+run them on the states of a :class:`WeightVector`, one sector at a time.
+Braid generators permute the sector; nothing else does.  Public slot and
+generator indices are 1-based.  Scalars are plain float64 throughout.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class Context:
                 raise ValueError("[gamma]_q <= 0 for label %r at q=%s" % (lab, q))
         self.sqrt_qn = tuple(math.sqrt(v) for v in self.qn)
         self.qg_half = tuple(self.qpow(lab.gamma / 2) for lab in self.labels)
+        # one row per label, read by _slot_labels
+        self._table = np.array([(lab.gamma, lab.c, *v) for lab, *v in zip(self.labels, self.sqrt_qn, self.qg_half)])
         self._canon = {}
 
     def qpow(self, exponent, inverse=False):
@@ -278,16 +282,17 @@ def vacuum(ctx, perm=None):
 
 
 def _act(op, vec):
-    """Run ``op(sector, rows)``, which returns the image terms of an int array
-    of occupation rows, on the states of a vector, sector by sector."""
+    """Run ``op(sectors, rows)``, which returns the image terms of an int array
+    of occupation rows, on the states of a vector, one sector at a time."""
     by_sector = {}
     for st, co in vec.terms.items():
         by_sector.setdefault(st.perm, []).append((st.occ, co))
     out = WeightVector(vec.ctx)
     for perm, items in by_sector.items():
         occs, coeffs = zip(*items)
-        src, target, rows, amp = op(perm, np.array(occs, np.int64))
-        for row, value in zip(rows.tolist(), (np.take(coeffs, src) * amp).tolist()):
+        src, target, rows, amp = op(np.array([perm]), np.array(occs, np.int64))
+        target = tuple(target[0].tolist())
+        for row, value in zip(rows.tolist(), (np.take(coeffs, src) * amp[0]).tolist()):
             out.add_term(TensorState(target, tuple(row)), value)
     return out
 
@@ -297,51 +302,62 @@ def _check_generator(gen):
         raise ValueError("unknown generator %r" % (gen,))
 
 
-def _slot_terms(ctx, gen, g, perm, occ):
+def _qpow_each(ctx, exponents, inverse=False):
+    """ctx.qpow of each exponent by Python's pow, which np.power can differ
+    from in the last bit, so a sector's scalars do not depend on its stack."""
+    return np.array([ctx.qpow(e, inverse) for e in exponents.ravel().tolist()]).reshape(exponents.shape)
+
+
+def _slot_labels(ctx, sectors, g):
+    """gamma, c, [gamma]_q**(1/2) and q**(gamma/2) of slot g (0-based) in each
+    sector, as (S, 1) columns."""
+    return ctx._table[sectors[:, g]].T[..., None]
+
+
+def _slot_terms(ctx, gen, g, sectors, occ):
     """One algebra generator on slot g (0-based)."""
-    idx = perm[g]
+    _, c, sqrt_qn, qg_half = _slot_labels(ctx, sectors, g)
     m = occ[:, g]
     if gen in ("a+", "a-"):
         src = np.arange(len(occ)) if gen == "a+" else np.flatnonzero(m)
         rows = occ[src]
         rows[:, g] += 1 if gen == "a+" else -1
         # sqrt of the larger occupation of the pair
-        return src, perm, rows, ctx.sqrt_qn[idx] * np.sqrt(np.maximum(m[src], rows[:, g]))
-    diag = {"e": m + ctx.labels[idx].c, "g+": ctx.qg_half[idx], "g-": 1 / ctx.qg_half[idx]}[gen]
-    return np.arange(len(occ)), perm, occ, np.broadcast_to(diag, len(occ))
+        return src, sectors, rows, sqrt_qn * np.sqrt(np.maximum(m[src], rows[:, g]))
+    diag = {"e": m + c, "g+": qg_half, "g-": 1 / qg_half}[gen]
+    return np.arange(len(occ)), sectors, occ, np.broadcast_to(diag, (len(sectors), len(occ)))
 
 
-def _coproduct_terms(ctx, gen, perm, occ):
+def _coproduct_terms(ctx, gen, sectors, occ):
     """Iterated coproduct of one generator on every slot."""
+    shape = (len(sectors), len(occ))
     if gen == "e":
-        return np.arange(len(occ)), perm, occ, occ.sum(axis=1) + ctx.c_total()
+        return np.arange(len(occ)), sectors, occ, np.broadcast_to(occ.sum(axis=1) + ctx.c_total(), shape)
     if gen in ("g+", "g-"):
         # central: eigenvalue q**(+-sum(gamma)/2) on every state
         total = ctx.qpow(ctx.gamma_total() / 2, inverse=(gen == "g-"))
-        return np.arange(len(occ)), perm, occ, np.full(len(occ), total)
-    gammas = [ctx.labels[p].gamma for p in perm]
+        return np.arange(len(occ)), sectors, occ, np.full(shape, total)
+    gamma, _, sqrt_qn, _ = ctx._table[sectors].transpose(2, 0, 1)
     # slot j is dressed with q**(-gamma/2) per earlier slot and q**(+gamma/2) per later one
-    factor = np.array([
-        ctx.qpow((sum(gammas[j + 1:]) - sum(gammas[:j])) / 2) * ctx.sqrt_qn[p] for j, p in enumerate(perm)
-    ])
+    exponent = np.array([[sum(g[j + 1:]) - sum(g[:j]) for j in range(ctx.n)] for g in gamma.tolist()]) / 2
+    factor = _qpow_each(ctx, exponent) * sqrt_qn
     level = occ if gen == "a-" else occ + 1
     src, slot = np.nonzero(level)
     rows = occ[src]
     rows[np.arange(len(src)), slot] += -1 if gen == "a-" else 1
-    return src, perm, rows, factor[slot] * np.sqrt(level[src, slot])
+    return src, sectors, rows, factor[:, slot] * np.sqrt(level[src, slot])
 
 
-def _intertwiner_terms(ctx, g, perm, occ):
+def _intertwiner_terms(ctx, g, sectors, occ):
     """Intertwiner on slots g, g+1 (0-based); see apply_intertwiner."""
-    ia, ib = perm[g], perm[g + 1]
+    _, _, sqrt_a, qg_a = _slot_labels(ctx, sectors, g)
+    _, _, sqrt_b, qg_b = _slot_labels(ctx, sectors, g + 1)
     r = len(occ)
     rows = np.concatenate([occ, occ])
     rows[:r, g] += 1
     rows[r:, g + 1] += 1
-    amp = np.sqrt(np.concatenate([rows[:r, g], rows[r:, g + 1]]))
-    amp[:r] *= ctx.sqrt_qn[ib] / ctx.qg_half[ia]
-    amp[r:] *= -ctx.sqrt_qn[ia] * ctx.qg_half[ib]
-    return np.arange(2 * r) % r, perm, rows, amp
+    scale = np.repeat(np.hstack([sqrt_b / qg_a, -sqrt_a * qg_b]), r, axis=1)
+    return np.arange(2 * r) % r, sectors, rows, np.sqrt(np.concatenate([rows[:r, g], rows[r:, g + 1]])) * scale
 
 
 def apply_generator(gen, slot, vec):
@@ -354,7 +370,7 @@ def apply_generator(gen, slot, vec):
     if not 1 <= slot <= ctx.n:
         raise ValueError("slot out of range")
     _check_generator(gen)
-    return _act(lambda perm, occ: _slot_terms(ctx, gen, slot - 1, perm, occ), vec)
+    return _act(lambda sectors, occ: _slot_terms(ctx, gen, slot - 1, sectors, occ), vec)
 
 
 def apply_coproduct(gen, vec):
@@ -365,7 +381,7 @@ def apply_coproduct(gen, vec):
     "e" is the plain sum and "g+-" the product over slots.
     """
     _check_generator(gen)
-    return _act(lambda perm, occ: _coproduct_terms(vec.ctx, gen, perm, occ), vec)
+    return _act(lambda sectors, occ: _coproduct_terms(vec.ctx, gen, sectors, occ), vec)
 
 
 def apply_intertwiner(k, vec):
@@ -382,7 +398,7 @@ def apply_intertwiner(k, vec):
     ctx = vec.ctx
     if not 1 <= k <= ctx.n - 1:
         raise ValueError("intertwiner index out of range")
-    return _act(lambda perm, occ: _intertwiner_terms(ctx, k - 1, perm, occ), vec)
+    return _act(lambda sectors, occ: _intertwiner_terms(ctx, k - 1, sectors, occ), vec)
 
 
 def apply_monomial(powers, vec):

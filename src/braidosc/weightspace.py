@@ -88,16 +88,21 @@ class WeightSpaceBasis:
         return {st: i for i, st in enumerate(self.states)}
 
 
+def _sectors(ctx, sector):
+    """Name and (S, n) int array of the canonical sectors that ``sector``
+    names: one arrangement (the identity for None) or "all" of them."""
+    if sector == "all":
+        return "all", np.array(ctx.distinct_sectors()).reshape(-1, ctx.n)
+    perm = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
+    return perm, np.array([perm])
+
+
 def weight_basis(ctx, N, sector=None):
     """Enumerate the weight space basis, occupations in ascending lex."""
     _check_size("N", N, 0)
-    if sector == "all":
-        sectors = ctx.distinct_sectors()
-    else:
-        sectors = [ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)]
+    label, sectors = _sectors(ctx, sector)
     occs = compositions(N, ctx.n)
-    states = [TensorState(perm, occ) for perm in sectors for occ in occs]
-    label = "all" if sector == "all" else sectors[0]
+    states = [TensorState(perm, occ) for perm in map(tuple, sectors.tolist()) for occ in occs]
     return WeightSpaceBasis(ctx, N, label, states)
 
 
@@ -119,11 +124,12 @@ def _coordinate_matrix(vectors, basis):
 
 
 def from_coordinates(ctx, coords, basis):
+    """Vector with one term per nonzero coordinate over a basis or a state list."""
     states = basis.states if isinstance(basis, WeightSpaceBasis) else basis
+    coords = np.asarray(coords, dtype=float)
+    nonzero = np.flatnonzero(coords)
     vec = WeightVector(ctx)
-    for c, st in zip(coords, states):
-        if c:
-            vec.add_term(st, float(c))
+    vec.terms = {states[i]: c for i, c in zip(nonzero.tolist(), coords[nonzero].tolist())}
     return vec
 
 
@@ -178,19 +184,22 @@ def _rank(rows):
     return comb[-1][m - 1] - 1 - np.array(comb, np.int64)[R[:, :-1], np.arange(1, m)].sum(axis=1)
 
 
-def _operator_block(op, sector, dom, cod):
-    """Target sector and matrix of an operator on one sector's rows ``dom``.
+def _operator_block(op, sectors, dom, cod):
+    """Target sectors and matrix blocks of an operator on the rows ``dom`` of
+    each sector of an (S, n) stack.
 
-    ``op`` gives each (target, source) pair once.  ``cod`` is a whole level
-    in ascending lex order, so each target row sits at its ``_rank``.
+    ``op`` gives each (target, source) pair once, its rows shared by every
+    sector and one amplitude per sector.  ``cod`` is a whole level in
+    ascending lex order, so each target row sits at its ``_rank``: one call
+    places all S blocks of the (S, len(cod), len(dom)) result.
     """
-    src, target, rows, amp = op(sector, dom)
+    src, targets, rows, amp = op(sectors, dom)
     total = int(cod[0].sum()) if len(cod) else -1
     if (rows.sum(axis=1) != total).any() or rows.min(initial=0) < 0:
         raise BraidoscError("operator image leaves the codomain")
-    block = np.zeros((len(cod), len(dom)))
-    block[_rank(rows), src] = amp
-    return target, block
+    blocks = np.zeros((len(sectors), len(cod), len(dom)))
+    blocks[:, _rank(rows), src] = amp
+    return targets, blocks
 
 
 def _weight_matrix(op, ctx, N, M):
@@ -198,17 +207,25 @@ def _weight_matrix(op, ctx, N, M):
     sectors = ctx.distinct_sectors()
     number = {sec: k for k, sec in enumerate(sectors)}
     dom, cod = _occupations(N, ctx.n), _occupations(M, ctx.n)
-    out = np.zeros((len(sectors), len(cod), len(sectors), len(dom)))
-    for s, sec in enumerate(sectors):
-        target, block = _operator_block(op, sec, dom, cod)
-        out[number[target], :, s] = block
-    return out.reshape(len(sectors) * len(cod), len(sectors) * len(dom))
+    targets, blocks = _operator_block(op, np.array(sectors), dom, cod)
+    return _sector_major(blocks, [number[t] for t in map(tuple, targets.tolist())])
+
+
+def _sector_major(blocks, targets=None):
+    """Sector-major matrix whose column sector s holds ``blocks[s]`` in row
+    sector ``targets[s]`` (s by default); one block is returned as it is."""
+    count, rows, cols = blocks.shape
+    if count == 1:
+        return blocks[0]
+    out = np.zeros((count, rows, count, cols))
+    out[np.arange(count) if targets is None else targets, :, np.arange(count)] = blocks
+    return out.reshape(count * rows, count * cols)
 
 
 def _coproduct_block(ctx, gen, sector, N, M):
     """Coproduct generator ``gen`` from level N to level M (-1 is empty) of one sector."""
     dom, cod = _occupations(N, ctx.n), _occupations(M, ctx.n)
-    return _operator_block(lambda perm, occ: _coproduct_terms(ctx, gen, perm, occ), sector, dom, cod)[1]
+    return _operator_block(lambda s, occ: _coproduct_terms(ctx, gen, s, occ), np.array([sector]), dom, cod)[1][0]
 
 
 def lowering_matrix(ctx, N, sector=None):
@@ -220,25 +237,40 @@ def lowering_matrix(ctx, N, sector=None):
 
 @dataclass
 class LowestWeightBasis:
-    """Basis of the lowest-weight subspace at one level, single sector.
+    """Basis of the lowest-weight subspace at one level, one block per sector.
 
-    ``coords`` holds the basis vectors as columns over the states of
-    ``weight_basis(ctx, N, sector)``.  The kernel route returns an
-    orthonormal family (gram = identity), the monomial route the
-    unnormalized monomial vectors in ``monomial_exponents`` order.
+    ``blocks[s]`` holds the basis vectors of sector s of
+    ``weight_basis(ctx, N, sector)`` as columns over its states, and
+    ``grams[s]`` their Gram matrix; ``coords`` and ``gram`` are the
+    block-diagonal matrices over the whole basis, for one sector the block
+    itself.  The kernel route returns an orthonormal family (gram =
+    identity), the monomial route the unnormalized monomial vectors in
+    ``monomial_exponents`` order.
     """
 
     ctx: object
     N: int
-    sector: tuple
-    gram: np.ndarray
-    coords: np.ndarray
+    sector: object
+    grams: np.ndarray
+    blocks: np.ndarray
+
+    @property
+    def coords(self):
+        return _sector_major(self.blocks)
+
+    @property
+    def gram(self):
+        return _sector_major(self.grams)
 
     @property
     def vectors(self):
-        """The ``coords`` columns as tensor-coordinate vectors."""
-        basis = weight_basis(self.ctx, self.N, self.sector)
-        return [from_coordinates(self.ctx, col, basis) for col in self.coords.T]
+        """The basis vectors as tensor-coordinate vectors, read block by block."""
+        states = weight_basis(self.ctx, self.N, self.sector).states
+        size = self.blocks.shape[1]
+        return [
+            from_coordinates(self.ctx, col, states[s * size:(s + 1) * size])
+            for s, block in enumerate(self.blocks) for col in block.T
+        ]
 
 
 def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
@@ -262,46 +294,49 @@ def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
             "kernel dimension %d != expected %d at n=%d N=%d"
             % (null.shape[0], expected, ctx.n, N)
         )
-    return LowestWeightBasis(ctx, N, sector, np.eye(expected), null.T)
+    return LowestWeightBasis(ctx, N, sector, np.eye(expected)[None], null.T[None])
 
 
 def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     """Lowest-weight basis from intertwiner monomials on the vacuum.
 
-    Validates that every monomial vector is annihilated by the coproduct
+    ``sector`` is one arrangement or "all": every sector's block comes out
+    of one batched product per intertwiner and level.  Validates, sector by
+    sector, that every monomial vector is annihilated by the coproduct
     lowering operator (relative residual) and that the Gram matrix is
     positive definite; vectors are kept unnormalized.
     """
     _check_size("n", ctx.n, 2)
     _check_size("N", N, 0)
-    sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
-    expts = monomial_exponents(ctx.n, N)
-    rows = [_occupations(j, ctx.n) for j in range(N + 1)]
-    # intertwiner matrices O[j][k] from level j, applied to the vacuum column in apply_monomial order
-    O = [
-        [_operator_block(lambda perm, occ: _intertwiner_terms(ctx, k, perm, occ), sector, lo, hi)[1]
-         for k in range(ctx.n - 1)]
-        for lo, hi in zip(rows, rows[1:])
-    ]
-    cols = []
-    for powers in expts:
-        v = np.ones(1)
-        for j, k in enumerate(k for k, e in enumerate(powers) for _ in range(e)):
-            v = O[j][k] @ v
-        cols.append(v)
-    V = np.array(cols).T
-    low = _coproduct_block(ctx, "a-", sector, N, N - 1) @ V
-    residuals = np.linalg.norm(low, axis=0) / np.linalg.norm(V, axis=0)
-    for powers, res in zip(expts, residuals):
-        if res > tols.kernel_residual:
-            raise BraidoscError(
-                "monomial %r not annihilated by lowering, residual %.2e" % (powers, res)
-            )
-    gram = V.T @ V
-    eigs = np.linalg.eigvalsh(gram)
-    if len(eigs) and eigs[0] <= tols.sv_cutoff * max(eigs[-1], 1.0):
-        raise BraidoscError("monomial Gram matrix is numerically singular")
-    return LowestWeightBasis(ctx, N, sector, gram, V)
+    label, sectors = _sectors(ctx, sector)
+    levels = [_occupations(j, ctx.n) for j in range(N + 1)]
+    V = np.ones((len(sectors), 1, 1))  # the vacuum, the one monomial of degree 0
+    for j, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        exps = np.array(monomial_exponents(ctx.n, j + 1)).reshape(-1, ctx.n - 1)
+        # apply_monomial applies the largest k with p_k > 0 last: O**p = O_k O**(p - e_k)
+        last = ctx.n - 2 - np.argmax(exps[:, ::-1] > 0, axis=1)
+        exps[np.arange(len(exps)), last] -= 1
+        prev = V.shape[2] - 1 - _rank(exps)
+        out = np.empty((len(sectors), len(hi), len(exps)))
+        for k in range(ctx.n - 1):
+            cols = np.flatnonzero(last == k)
+            O = _operator_block(lambda s, occ: _intertwiner_terms(ctx, k, s, occ), sectors, lo, hi)[1]
+            out[:, :, cols] = O @ V[:, :, prev[cols]]
+        V = out
+    lower = _operator_block(lambda s, occ: _coproduct_terms(ctx, "a-", s, occ), sectors, levels[-1],
+                            _occupations(N - 1, ctx.n))[1]
+    residuals = np.linalg.norm(lower @ V, axis=1) / np.linalg.norm(V, axis=1)
+    s, m = np.unravel_index(np.argmax(residuals), residuals.shape)
+    if residuals[s, m] > tols.kernel_residual:
+        raise BraidoscError("monomial %r of sector %r not annihilated by lowering, residual %.2e"
+                            % (monomial_exponents(ctx.n, N)[m], tuple(sectors[s].tolist()), residuals[s, m]))
+    grams = V.transpose(0, 2, 1) @ V
+    eigs = np.linalg.eigvalsh(grams)
+    singular = eigs[:, 0] <= tols.sv_cutoff * np.maximum(eigs[:, -1], 1.0)
+    if singular.any():
+        raise BraidoscError("monomial Gram matrix of sector %r is numerically singular"
+                            % (tuple(sectors[np.argmax(singular)].tolist()),))
+    return LowestWeightBasis(ctx, N, label, grams, V)
 
 
 def span_residual(vectors, others):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidosc.braid import (
     BasisElement,
@@ -53,7 +53,16 @@ from braidosc.oscillator import (
 from braidosc.scalars import (
     DEFAULT_TOLS, L_ONE, L_ZERO, Laurent, Tolerances, numeric_to_json, q_number,
 )
-from braidosc.weightspace import _weight_matrix, monomial_exponents, operator_matrix, weight_basis
+from braidosc.weightspace import (
+    _occupations,
+    _operator_block,
+    _weight_matrix,
+    lowest_weight_dimension,
+    lowest_weight_monomials,
+    monomial_exponents,
+    operator_matrix,
+    weight_basis,
+)
 
 
 @pytest.fixture
@@ -538,6 +547,95 @@ def test_many_slots_direct_matches_rewrite():
         assert np.max(np.abs(a.entries - b.entries)) <= DEFAULT_TOLS.route_match * np.max(np.abs(b.entries))
 
 
+def _direct_by_sector(ctx, N, monomials, inverse, formula):
+    """The direct route one sector at a time, the reference for the batched
+    build: each sector's own monomial basis, operator block and Gram solve."""
+    sectors = ctx.distinct_sectors()
+    number = {sec: k for k, sec in enumerate(sectors)}
+    d = lowest_weight_dimension(ctx.n, N)
+    rows = _occupations(N, ctx.n)
+    lab = ctx.labels[0]
+    common = ctx.qpow(-2 * lab.c * lab.gamma, inverse) if ctx.is_homogeneous() else 1.0
+    family = []
+    for i in range(1, ctx.n):
+        entries = np.zeros((len(sectors) * d,) * 2)
+        for k, sec in enumerate(sectors):
+            (target,), (block,) = _operator_block(_braid_op(ctx, i, inverse, formula), np.array([sec]), rows, rows)
+            target = tuple(target.tolist())
+            V, tV, tgram = monomials[sec].coords, monomials[target].coords, monomials[target].gram
+            image = block @ V
+            coeffs = np.linalg.solve(tgram, tV.T @ image)
+            coeffs += np.linalg.solve(tgram, tV.T @ (image - tV @ coeffs))
+            r0 = number[target] * d
+            entries[r0:r0 + d, k * d:(k + 1) * d] = coeffs / common
+        family.append(entries)
+    return family
+
+
+def _label_kinds(n, q):
+    base, other = RepLabel(0.9, 0.4), RepLabel(1.6, 1.1)
+    yield homogeneous_context(n, base.gamma, base.c, q)
+    yield marked_context(n, base, other, n // 2 + 1, 1 / q)
+    yield Context([RepLabel(0.6 + 0.25 * k, 0.3 + 0.2 * k) for k in range(n)], q)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_direct_route_matches_per_sector_loop(n):
+    """Batched sectors give the one-sector loop's entries to rounding level."""
+    for ctx in _label_kinds(n, 0.65):
+        for N in range(4):
+            monomials = {sec: lowest_weight_monomials(ctx, N, sec) for sec in ctx.distinct_sectors()}
+            for inverse in (False, True):
+                for formula in ("closed", "series"):
+                    got = build_matrices(n, N, route="direct", ctx=ctx, inverse=inverse, formula=formula)
+                    want = _direct_by_sector(ctx, N, monomials, inverse, formula)
+                    for g, w in zip(got, want, strict=True):
+                        assert np.max(np.abs(g.entries - w)) <= 1e-14 * np.max(np.abs(w)), (n, N, inverse, formula)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_sigma_weight_matrix_matches_per_sector_loop(n):
+    """One call over every sector places each sector's block exactly as one
+    call per sector does."""
+    for ctx in _label_kinds(n, 1.4):
+        sectors = ctx.distinct_sectors()
+        number = {sec: k for k, sec in enumerate(sectors)}
+        for N in range(3):
+            rows = _occupations(N, n)
+            D = len(rows)
+            for i in range(1, n):
+                for inverse in (False, True):
+                    for formula in ("closed", "series"):
+                        op = _braid_op(ctx, i, inverse, formula)
+                        want = np.zeros((len(sectors) * D,) * 2)
+                        for k, sec in enumerate(sectors):
+                            (target,), (block,) = _operator_block(op, np.array([sec]), rows, rows)
+                            r0 = number[tuple(target.tolist())] * D
+                            want[r0:r0 + D, k * D:(k + 1) * D] = block
+                        got = sigma_weight_matrix(ctx, N, i, inverse=inverse, formula=formula)
+                        assert np.array_equal(got, want), (n, N, i, inverse, formula)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    N=st.integers(0, 2),
+    q=st.one_of(st.floats(0.5, 0.8), st.floats(1.25, 2.0)),
+    labels=st.lists(st.builds(RepLabel, st.floats(0.5, 2.0), st.floats(0.2, 1.5)), min_size=4, max_size=4),
+    inverse=st.booleans(),
+)
+def test_direct_matches_rewrite_all_distinct(n, N, q, labels, inverse):
+    """All-distinct labels on both sides of q = 1: the direct route, batched
+    over n! sectors, agrees with the rewrite route within route_match."""
+    assume(len(set(labels[:n])) == n)
+    ctx = Context(labels[:n], q)
+    direct = build_matrices(n, N, route="direct", ctx=ctx, inverse=inverse)
+    rewrite = build_matrices(n, N, route="rewrite", ctx=ctx, inverse=inverse)
+    for a, b in zip(direct, rewrite, strict=True):
+        assert a.basis == b.basis
+        assert np.max(np.abs(a.entries - b.entries)) <= DEFAULT_TOLS.route_match * np.max(np.abs(b.entries))
+
+
 class TestExactStorage:
     """Exact entries are a read-only view of the stored triplets."""
 
@@ -655,6 +753,15 @@ class TestRoutes:
     def test_direct_rejects_span_residual(self, mctx3):
         with pytest.raises(GramSolveError, match="leaves the lowest-weight span"):
             build_matrices(3, 2, route="direct", ctx=mctx3, tols=Tolerances(span_residual=-1.0))
+
+    @pytest.mark.parametrize("tols, match", [
+        (Tolerances(span_residual=-1.0), r"generator 1, sector \(\d, \d, \d\), monomial \(\d, \d\)"),
+        (Tolerances(kernel_residual=-1.0), r"monomial \(\d, \d\) of sector \(\d, \d, \d\) not annihilated"),
+        (Tolerances(sv_cutoff=1.0), r"Gram matrix of sector \(\d, \d, \d\) is numerically singular"),
+    ])
+    def test_direct_failures_name_the_sector(self, mctx3, tols, match):
+        with pytest.raises(BraidoscError, match=match):
+            build_matrices(3, 2, route="direct", ctx=mctx3, tols=tols)
 
     def test_closed_form_route(self):
         cf = build_matrices(4, 1, route="closed_form")

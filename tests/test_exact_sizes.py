@@ -1,4 +1,4 @@
-"""scripts/exact_sizes.py: a rung reports every stage, and both guards hold."""
+"""scripts/exact_sizes.py: a rung of either ladder reports every stage, and the guards hold."""
 
 import json
 import os
@@ -29,3 +29,19 @@ def test_memory_cap_skips_the_export():
 def test_budget_stops_the_ladder():
     (rung,) = _ladder("--sizes", "4,2", "5,2", "--budget", "0.001")["rungs"]
     assert rung["n"] == 4 and "stopped" in rung
+
+
+def test_direct_rung_runs():
+    (rung,) = _ladder("--ladder", "direct", "--sizes", "3,2,distinct")["rungs"]
+    assert rung["labels"] == "distinct" and rung["d"] == 6 * 3
+    assert rung["relation_defect"] < 1e-12 and rung["inverse_defect"] < 1e-12
+    for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "to_json_s", "peak_rss_mb"):
+        assert rung[key] >= 0.0
+
+
+def test_direct_guard_skips_oversized_rung():
+    # all-distinct (6,2): d = 10800, about 4.7 GB of dense entries per direction;
+    # the tiny budget would stop the rung at once had the guard let it start
+    (rung,) = _ladder("--ladder", "direct", "--sizes", "6,2,distinct", "--budget", "0.001")["rungs"]
+    assert rung["d"] == 10800 and "skipped" in rung
+    assert "build_s" not in rung and "stopped" not in rung

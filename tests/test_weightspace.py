@@ -211,6 +211,39 @@ def test_coords_are_the_vectors(build, mctx3):
             assert lw.coords.shape == want.shape and np.array_equal(lw.coords, want)
 
 
+@pytest.mark.parametrize("n, N", [(2, 3), (3, 0), (3, 2), (4, 3)])
+def test_all_sector_monomials_are_the_per_sector_blocks(n, N):
+    ctx = Context([RepLabel(0.7 + 0.3 * k, 0.2 + 0.4 * k) for k in range(n)], 0.7)
+    lw = lowest_weight_monomials(ctx, N, "all")
+    sectors = ctx.distinct_sectors()
+    assert lw.sector == "all" and lw.blocks.shape[0] == lw.grams.shape[0] == len(sectors)
+    for sec, block, gram in zip(sectors, lw.blocks, lw.grams):
+        one = lowest_weight_monomials(ctx, N, sec)
+        assert np.array_equal(block, one.coords) and np.array_equal(gram, one.gram)
+        assert np.shares_memory(one.coords, one.blocks)
+    # coords and gram are block-diagonal over weight_basis(ctx, N, "all"), and vectors follow them
+    states = weight_basis(ctx, N, "all")
+    want = np.array([coordinates(v, states) for v in lw.vectors]).T
+    assert np.array_equal(lw.coords, want)
+    count, d = lw.grams.shape[:2]
+    diagonal = np.eye(count)[:, None, :, None] * lw.grams[:, :, None, :]
+    assert np.array_equal(lw.gram.reshape(count, d, count, d), diagonal)
+
+
+def test_from_coordinates_keeps_every_nonzero_term(hctx3):
+    basis = weight_basis(hctx3, 3)
+    coords = np.array([0.0, -0.0, 1.5, np.nan, -2.0, 0.0, 3e-300, 0.0, np.inf, -1.0])
+    from braidosc.oscillator import WeightVector
+
+    want = WeightVector(hctx3)
+    for c, st in zip(coords, basis.states):
+        if c:
+            want.add_term(st, float(c))
+    got = from_coordinates(hctx3, coords, basis)
+    assert list(got.terms) == list(want.terms)
+    assert [repr(v) for v in got.terms.values()] == [repr(v) for v in want.terms.values()]
+
+
 class TestDecomposition:
     def test_three_slots_level_three(self, hctx3):
         rep = verify_decomposition(hctx3, 3, None, DEFAULT_TOLS)
@@ -423,16 +456,16 @@ class TestErrors:
     @pytest.mark.parametrize("gen, levels", [("a+", (2, 2)), ("a-", (2, 2)), ("a+", (1, 0)), ("e", (2, 1))])
     def test_operator_block_rejects_image_outside_codomain(self, mctx3, gen, levels):
         dom, cod = (weightspace._occupations(j, 3) for j in levels)
-        op = lambda perm, occ: weightspace._coproduct_terms(mctx3, gen, perm, occ)
+        op = lambda sectors, occ: weightspace._coproduct_terms(mctx3, gen, sectors, occ)
         with pytest.raises(BraidoscError, match="leaves the codomain"):
-            weightspace._operator_block(op, mctx3.identity_perm(), dom, cod)
+            weightspace._operator_block(op, np.array(mctx3.distinct_sectors()), dom, cod)
 
     def test_operator_block_rejects_negative_occupation(self, mctx3):
         # the level's total, but one slot below zero
-        op = lambda perm, occ: (np.zeros(1, np.intp), perm, np.array([[3, -1, 0]]), np.ones(1))
+        op = lambda sectors, occ: (np.zeros(1, np.intp), sectors, np.array([[3, -1, 0]]), np.ones((len(sectors), 1)))
         level = weightspace._occupations(2, 3)
         with pytest.raises(BraidoscError, match="leaves the codomain"):
-            weightspace._operator_block(op, mctx3.identity_perm(), level, level)
+            weightspace._operator_block(op, np.array([mctx3.identity_perm()]), level, level)
 
     def test_kernel_rejects_short_arrangement(self, hctx3):
         with pytest.raises(ValueError, match="not a permutation"):
