@@ -1,25 +1,27 @@
-"""Size ladders of the exact (Laurent) backend and of the direct route:
-where their cost curves bend.
+"""Size ladders of the exact (Laurent) backend and of the numeric direct
+and rewrite routes: where their cost curves bend.
 
-    python3 scripts/exact_sizes.py [--ladder exact|direct] [--sizes ...]
+    python3 scripts/exact_sizes.py [--ladder exact|direct|rewrite] [--sizes ...]
                                    [--budget S] [--mem-cap GB] [--src DIR]
 
-An exact rung is "n,N"; the exact ladder is (8,5) -> (14,5).  A direct
+An exact rung is "n,N"; the exact ladder is (8,5) -> (14,5).  A numeric
 rung is "n,N,distinct" (n! sectors, all labels different) or
-"n,N,homogeneous" (one sector); the direct ladder is all-distinct (5,3),
-(5,4), (6,1), (6,2), then homogeneous (8,5) and (10,4), numeric with
-q = 0.6.  Each rung runs in a fresh process with one BLAS thread and times
-the forward build, the inverse build, ``braid_relation_defect`` on the
-forward family, ``inverse_defect`` and ``family_to_json`` of the forward
-family.  ``peak_rss_mb`` is read after the checks and ``export_peak_rss_mb``
-after the export.  ``d`` is the matrix dimension: sectors times
-C(n+N-2, N).  The last line of output is one JSON object.
+"n,N,homogeneous" (one sector), built with q = 0.6 by the ladder's route.
+The direct ladder is all-distinct (5,3), (5,4), (6,1), (6,2), then
+homogeneous (8,5) and (10,4); the rewrite ladder is the same all-distinct
+rungs, then homogeneous (8,5) and (10,5).  Each rung runs in a fresh
+process with one BLAS thread and times the forward build, the inverse
+build, ``braid_relation_defect`` on the forward family, ``inverse_defect``
+and ``family_to_json`` of the forward family.  ``peak_rss_mb`` is read
+after the checks and ``export_peak_rss_mb`` after the export.  ``d`` is the
+matrix dimension: sectors times C(n+N-2, N).  The last line of output is
+one JSON object.
 
 Guards: the ladder stops after the first rung that takes longer than
 ``--budget`` seconds (that rung is killed at the budget).  Before a rung
 starts, its footprint is predicted from d at 8 bytes per list slot or
 float: (n-1) d**2 slots for the export, and twice that again for the two
-builds when the family is stored dense (direct families, or exact entries
+builds when the family is stored dense (numeric families, or exact entries
 kept as nested lists).  A rung whose builds alone pass ``--mem-cap`` is
 skipped, and a rung whose export would pass it runs without the export;
 nothing of either is allocated.  ``--src`` measures another checkout's
@@ -45,6 +47,8 @@ LADDERS = {
     "exact": ["8,5", "10,5", "12,5", "14,5"],
     "direct": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct",
                "8,5,homogeneous", "10,4,homogeneous"],
+    "rewrite": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct",
+                "8,5,homogeneous", "10,5,homogeneous"],
 }
 
 
@@ -64,22 +68,22 @@ def dimension(n, N, labels):
     return (math.factorial(n) if labels == "distinct" else 1) * math.comb(n + N - 2, N)
 
 
-def family_builder(n, labels):
-    """build_matrices for the rung's route: exact, or direct on the rung's labels."""
+def family_builder(n, labels, route):
+    """build_matrices for the rung: exact, or the numeric route on the rung's labels."""
     from braidosc import Context, RepLabel, build_matrices
 
     if labels is None:
         return lambda N, inverse: build_matrices(n, N, inverse=inverse)
     count = n if labels == "distinct" else 1
     ctx = Context([RepLabel(1.0 + 0.1 * (k % count), 0.5 + 0.2 * (k % count)) for k in range(n)], 0.6)
-    return lambda N, inverse: build_matrices(n, N, route="direct", ctx=ctx, inverse=inverse)
+    return lambda N, inverse: build_matrices(n, N, route=route, ctx=ctx, inverse=inverse)
 
 
-def run_rung(n, N, labels, export):
+def run_rung(n, N, labels, route, export):
     """Time one rung in this process; returns its JSON record."""
     from braidosc import braid_relation_defect, family_to_json, inverse_defect
 
-    build = family_builder(n, labels)
+    build = family_builder(n, labels, route)
     out = {"n": n, "N": N, "d": dimension(n, N, labels)}
     t0 = time.perf_counter()
     fwd = build(N, False)
@@ -109,8 +113,8 @@ def stores_lists():
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--ladder", choices=sorted(LADDERS), default="exact", help="exact backend or direct route")
-    p.add_argument("--sizes", nargs="+", help="n,N (exact) or n,N,distinct|homogeneous (direct) per rung")
+    p.add_argument("--ladder", choices=sorted(LADDERS), default="exact", help="exact backend or numeric route")
+    p.add_argument("--sizes", nargs="+", help="n,N (exact) or n,N,distinct|homogeneous (numeric) per rung")
     p.add_argument("--budget", type=float, default=60.0, help="seconds per rung")
     p.add_argument("--mem-cap", type=float, default=2.0, help="GB of predicted dense entries and export lists")
     p.add_argument("--src", default=SRC, help="src/ directory of the checkout to measure")
@@ -119,14 +123,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     if args.rung:
-        print(json.dumps(run_rung(*parse_rung(args.rung), export=not args.no_export)))
+        print(json.dumps(run_rung(*parse_rung(args.rung), args.ladder, export=not args.no_export)))
         return 0
 
     sizes = args.sizes or LADDERS[args.ladder]
     rungs = [parse_rung(size) for size in sizes]
     if any((labels is None) != (args.ladder == "exact") for _, _, labels in rungs):
-        raise SystemExit("exact rungs are n,N and direct rungs n,N,labels")
-    dense = args.ladder == "direct" or stores_lists()
+        raise SystemExit("exact rungs are n,N and numeric rungs n,N,labels")
+    dense = args.ladder != "exact" or stores_lists()
     cap = args.mem_cap * 2 ** 30
     report = {"ladder": args.ladder, "budget_s": args.budget, "mem_cap_gb": args.mem_cap, "stores_dense": dense,
               "rungs": []}
@@ -141,7 +145,7 @@ def main(argv=None):
             rung["skipped"] = "builds need %.1f GB" % (build_bytes / 2 ** 30)
             report["rungs"].append(rung)
             continue
-        cmd = [sys.executable, os.path.abspath(__file__), "--src", args.src, "--rung", size]
+        cmd = [sys.executable, os.path.abspath(__file__), "--src", args.src, "--ladder", args.ladder, "--rung", size]
         if build_bytes + export_bytes > cap:
             cmd.append("--no-export")
             rung["export_skipped"] = "export needs %.1f GB" % (export_bytes / 2 ** 30)

@@ -17,20 +17,20 @@ matrices, computed here by two deliberately independent routes:
   carry one scalar, so the image of O**p is a closed double sum over
   (a, b) with multiplicity C(p_{i-1}, a) C(p_{i+1}, b); one integer table
   of these terms per generator feeds the exact Laurent backend (signs and
-  powers of x) and every sector block of the numeric backend.
+  powers of x) and, in one array pass over the sector stack, every sector
+  block of the numeric backend.
 
 Closed-form families (reduced Burau for level 1, a Lawrence-Krammer-Bigelow
 style family for level 2, and the one-marked-slot level-1 family) are
 implemented separately again so that each can cross-check the others.
 
 The closed two-slot transition amplitude uses the plain binomial factors
-C(m, k) obtained by expanding the R-matrix exponential term by term.
-apply_braid_generator and sigma_weight_matrix also take
-``binomial="multiset"``, an alternative closed form using the multiset
-coefficient C(m+k-1, m-1).  The two agree on every k <= 1 transition and
-split at k >= 2; only the series variant satisfies the braid relations at
-level >= 2, so matrix families are always built with it.  See
-compare_transition_formulas for the documented discrepancy.
+C(m, k) obtained by expanding the R-matrix exponential term by term.  An
+alternative closed form uses the multiset coefficient C(m+k-1, m-1); the
+two agree on every k <= 1 transition and split at k >= 2, and only the
+series variant satisfies the braid relations at level >= 2, so every
+action and matrix is built with it.  compare_transition_formulas tabulates
+the documented discrepancy.
 """
 
 from __future__ import annotations
@@ -135,26 +135,24 @@ def _swapped(ctx, sectors, g):
     return np.array([ctx.swapped_perm(p, g + 1) for p in sectors.tolist()]).reshape(sectors.shape)
 
 
-def _braid_op(ctx, i, inverse, formula, binomial="series"):
+def _braid_op(ctx, i, inverse, formula):
     """Generator i (1-based) as a function of (sectors, occupation rows)."""
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("generator index out of range")
     _check_formula(formula)
-    if binomial not in ("series", "multiset"):
-        raise ValueError("binomial must be 'series' or 'multiset', got %r" % (binomial,))
     if formula == "closed":
-        return lambda sectors, occ: _braid_closed(ctx, i - 1, inverse, binomial, sectors, occ)
+        return lambda sectors, occ: _braid_closed(ctx, i - 1, inverse, "series", sectors, occ)
     return lambda sectors, occ: _braid_series(ctx, i - 1, inverse, sectors, occ)
 
 
-def apply_braid_generator(i, vec, *, inverse=False, formula="closed", binomial="series"):
+def apply_braid_generator(i, vec, *, inverse=False, formula="closed"):
     """Act with braid generator i (1-based) on a tensor-coordinate vector.
 
     The inverse generator is the q -> 1/q substitution throughout.
     ``formula`` picks the closed two-slot amplitude or the literal series
-    expansion; ``binomial`` selects the closed-form variant.
+    expansion.
     """
-    return _act(_braid_op(vec.ctx, i, inverse, formula, binomial), vec)
+    return _act(_braid_op(vec.ctx, i, inverse, formula), vec)
 
 
 def _check_formula(formula):
@@ -162,10 +160,10 @@ def _check_formula(formula):
         raise ValueError("formula must be 'closed' or 'series', got %r" % (formula,))
 
 
-def sigma_weight_matrix(ctx, N, i, *, inverse=False, formula="closed", binomial="series"):
+def sigma_weight_matrix(ctx, N, i, *, inverse=False, formula="closed"):
     """Matrix of a braid generator on the full weight space, all sectors."""
     _check_size("N", N, 0)
-    return _weight_matrix(_braid_op(ctx, i, inverse, formula, binomial), ctx, N, N)
+    return _weight_matrix(_braid_op(ctx, i, inverse, formula), ctx, N, N)
 
 
 def compare_transition_formulas(ctx, m_max=3):
@@ -251,22 +249,24 @@ def _rewrite_table(i, exps):
     return row, col, counts, binom[left, a] * binom[right, b]
 
 
-def _exchange_factors(ctx, new_sector, i, inverse):
-    """The five exchange factors of generator i on the swapped sector.
+def _exchange_factors(ctx, targets, i, inverse):
+    """The five exchange factors of generator i on each swapped sector, (S, 5).
 
     With x_k = q**(-gamma_k) (q -> 1/q for the inverse) and
-    g_k = [gamma_k]**(1/2) on slot k of ``new_sector``, in the count order
-    of _rewrite_table.
+    g_k = [gamma_k]**(1/2) on slot k of each row of ``targets``, in the
+    count order of _rewrite_table.
     """
-    xi, xi1 = (ctx.qpow(-ctx.labels[new_sector[k]].gamma, inverse) for k in (i - 1, i))
-    g = (1.0, *(ctx.sqrt_qn[rep] for rep in new_sector), 1.0)  # g[k] on 1-based slot k
-    return (
+    gamma, _, sqrt_qn, _ = ctx._table[targets].T  # (n, S) each
+    xi, xi1 = _qpow_each(ctx, -gamma[i - 1:i + 1], inverse)
+    ones = np.ones(len(targets))
+    g = np.vstack((ones, sqrt_qn, ones))  # g[k] on 1-based slot k
+    return np.array((
         -xi * xi1,
         g[i + 1] / g[i],
         g[i - 1] * xi / g[i],
         g[i] / g[i + 1],
         xi1 * g[i + 2] / g[i + 1],
-    )
+    )).T
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +360,8 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
     exps = monomial_exponents(n, N)
     d = len(exps)
     basis = monomial_basis_elements(n, N, sectors)
-    dim = len(basis)
     number = {sec: k for k, sec in enumerate(sectors)}
+    stack = np.array(sectors)
     sign = -1 if inverse else 1
     mats = []
     for i in range(1, n):
@@ -369,19 +369,19 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
         if exact:
             # each O_i gives -x**2, each O_{i-1} or O_{i+1} turned into O_i gives x
             power = sign * (2 * counts[0] + counts[2] + counts[4])
-            entries = _ExactMatrix((dim, dim), power, row, col, (-1) ** counts[0] * mult)
+            entries = _ExactMatrix((d, d), power, row, col, (-1) ** counts[0] * mult)
         else:
-            entries = np.zeros((dim, dim))
-            for s, sec in enumerate(sectors):
-                new_sec = ctx.swapped_perm(sec, i)
-                factors = _exchange_factors(ctx, new_sec, i, inverse)
-                # powers by Python pow, gathered by count: np.power can differ in the last bit
-                table = np.array([[f ** c for c in range(N + 1)] for f in factors])
-                la, lb = ctx.labels[sec[i - 1]], ctx.labels[sec[i]]
-                # homogeneous labels keep the constant vacuum factor in the phase
-                vacuum = 1.0 if renormalize else ctx.qpow(-(la.c * lb.gamma + lb.c * la.gamma), inverse)
-                value = mult * math.prod(table[k, counts[k]] for k in range(5)) * vacuum
-                entries[number[new_sec] * d + row, s * d + col] = value
+            targets = _swapped(ctx, stack, i - 1)
+            factors = _exchange_factors(ctx, targets, i, inverse)
+            # powers by Python pow, gathered by count: np.power can differ in the last bit
+            table = np.array([[f ** c for c in range(N + 1)] for f in factors.ravel().tolist()]).reshape(-1, 5, N + 1)
+            ga, ca, _, _ = _slot_labels(ctx, stack, i - 1)
+            gb, cb, _, _ = _slot_labels(ctx, stack, i)
+            # homogeneous labels keep the constant vacuum factor in the phase
+            vacuum = 1.0 if renormalize else _qpow_each(ctx, -(ca * gb + cb * ga), inverse)
+            blocks = np.zeros((len(sectors), d, d))
+            blocks[:, row, col] = mult * math.prod(table[:, k, counts[k]] for k in range(5)) * vacuum
+            entries = _sector_major(blocks, [number[sec] for sec in map(tuple, targets.tolist())])
         phase = Phase(sign) if (exact or renormalize) else Phase()
         mats.append(BraidMatrix(
             generator=i, inverse=inverse, n=n, N=N, route="rewrite", backend=backend, basis=basis,

@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .scalars import DEFAULT_TOLS
 from .oscillator import BraidoscError, Context, RepLabel, homogeneous_context, marked_context
 from .weightspace import counts
@@ -111,11 +113,7 @@ def _emit(text, path):
 
 
 def cmd_matrix(args):
-    try:
-        mats = _build_family(args, args.inverse)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    mats = _build_family(args, args.inverse)
     if args.format == "json":
         _emit(_json_text(family_to_json(mats)) + "\n", args.output)
         return 0
@@ -135,9 +133,6 @@ def cmd_matrix(args):
 
 def cmd_dims(args):
     n, N = args.n, args.N
-    if n < 2 or N < 0:
-        print("need n >= 2 and N >= 0", file=sys.stderr)
-        return 2
     total, parts = counts(n, N)
     if args.format == "json":
         payload = {"n": n, "N": N, "weight_dim": total, "lowest_dims": parts}
@@ -154,11 +149,7 @@ def cmd_dims(args):
 def cmd_verify(args):
     from .verify import run_suites
 
-    try:
-        reports = run_suites(args.suite, seed=args.seed, tols=DEFAULT_TOLS)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    reports = run_suites(args.suite, seed=args.seed, tols=DEFAULT_TOLS)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print("suite %-8s %s (%d checks)" % (rep.suite, status, len(rep.checks)))
@@ -176,20 +167,9 @@ def cmd_verify(args):
 
 
 def cmd_word(args):
-    try:
-        letters = [int(tok) for tok in args.word.replace(",", " ").split()]
-    except ValueError:
-        print("word must be space-separated signed integers", file=sys.stderr)
-        return 2
-    if any(t == 0 or abs(t) > args.n - 1 for t in letters):
-        print("word letters must be nonzero with |letter| < n", file=sys.stderr)
-        return 2
-    try:
-        fwd = _build_family(args, False)
-        inv = _build_family(args, True) if any(t < 0 for t in letters) else None
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    letters = [int(tok) for tok in args.word.replace(",", " ").split()]
+    fwd = _build_family(args, False)
+    inv = _build_family(args, True) if any(t < 0 for t in letters) else None
     total, phase = _word_product(letters, fwd, inv)
     payload = {
         "word": letters,
@@ -243,9 +223,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BraidoscError, OverflowError) as exc:
+    # numpy's LinAlgError is a ValueError, but it reports a failed computation
+    except (BraidoscError, OverflowError, np.linalg.LinAlgError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

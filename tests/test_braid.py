@@ -31,6 +31,7 @@ from braidosc.braid import (
     unreduced_burau,
     apply_braid_generator,
     _ExactMatrix,
+    _braid_closed,
     _braid_op,
     _rewrite_table,
     _word_product,
@@ -114,7 +115,7 @@ class TestTensorAction:
     def test_series_equals_closed(self, het2):
         for occ in [(0, 3), (2, 1), (3, 2)]:
             v = basis_state(het2, occ)
-            a = apply_braid_generator(1, v, formula="closed", binomial="series")
+            a = apply_braid_generator(1, v, formula="closed")
             b = apply_braid_generator(1, v, formula="series")
             assert (a - b).norm() < 1e-12 * a.norm()
 
@@ -147,6 +148,11 @@ class TestTensorAction:
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * np.max(np.abs(lhs))
 
 
+def _multiset_weight_matrix(ctx, N, i):
+    """sigma_weight_matrix with the multiset closed form, which no public call takes."""
+    return _weight_matrix(lambda sectors, occ: _braid_closed(ctx, i - 1, False, "multiset", sectors, occ), ctx, N, N)
+
+
 class TestTransitionVariants:
     def test_report(self, het2):
         rep = compare_transition_formulas(het2)
@@ -161,21 +167,23 @@ class TestTransitionVariants:
 
     def test_variants_agree_at_level_one(self, mctx3):
         for i in (1, 2):
-            a = sigma_weight_matrix(mctx3, 1, i, binomial="series")
-            b = sigma_weight_matrix(mctx3, 1, i, binomial="multiset")
+            a = sigma_weight_matrix(mctx3, 1, i)
+            b = _multiset_weight_matrix(mctx3, 1, i)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_families_have_no_binomial_knob(self, mctx3):
         with pytest.raises(TypeError):
             build_matrices(3, 1, route="direct", ctx=mctx3, binomial="multiset")
+        with pytest.raises(TypeError):
+            sigma_weight_matrix(mctx3, 1, 1, binomial="multiset")
 
     def test_rejects_negative_m_max(self, het2):
         with pytest.raises(ValueError, match="m_max must be"):
             compare_transition_formulas(het2, m_max=-1)
 
     def test_variants_differ_at_higher_occupation(self, het2):
-        a = sigma_weight_matrix(het2, 2, 1, binomial="series")
-        b = sigma_weight_matrix(het2, 2, 1, binomial="multiset")
+        a = sigma_weight_matrix(het2, 2, 1)
+        b = _multiset_weight_matrix(het2, 2, 1)
         assert np.max(np.abs(a - b)) > 1e-3 * np.max(np.abs(a))
 
 
@@ -616,6 +624,49 @@ def test_sigma_weight_matrix_matches_per_sector_loop(n):
                         assert np.array_equal(got, want), (n, N, i, inverse, formula)
 
 
+def _rewrite_by_sector(ctx, N, inverse, renormalize):
+    """The numeric rewrite one sector at a time, the reference for the
+    stacked build: each sector's own swap, exchange factors, power table
+    and vacuum factor, placed by sector-major index arithmetic."""
+    n = ctx.n
+    sectors = ctx.distinct_sectors()
+    number = {sec: k for k, sec in enumerate(sectors)}
+    exps = monomial_exponents(n, N)
+    d = len(exps)
+    family = []
+    for i in range(1, n):
+        row, col, counts, mult = _rewrite_table(i, exps)
+        entries = np.zeros((len(sectors) * d,) * 2)
+        for s, sec in enumerate(sectors):
+            new_sec = ctx.swapped_perm(sec, i)
+            xi, xi1 = (ctx.qpow(-ctx.labels[new_sec[k]].gamma, inverse) for k in (i - 1, i))
+            g = (1.0, *(ctx.sqrt_qn[rep] for rep in new_sec), 1.0)
+            factors = (-xi * xi1, g[i + 1] / g[i], g[i - 1] * xi / g[i], g[i] / g[i + 1], xi1 * g[i + 2] / g[i + 1])
+            table = np.array([[f ** c for c in range(N + 1)] for f in factors])
+            la, lb = ctx.labels[sec[i - 1]], ctx.labels[sec[i]]
+            vacuum = 1.0 if renormalize else ctx.qpow(-(la.c * lb.gamma + lb.c * la.gamma), inverse)
+            value = mult * math.prod(table[k, counts[k]] for k in range(5)) * vacuum
+            entries[number[new_sec] * d + row, s * d + col] = value
+        family.append(entries)
+    return family
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_numeric_rewrite_matches_per_sector_loop(n):
+    """The stacked numeric rewrite writes the one-sector loop's entries bit for bit."""
+    for q in (0.4, 0.8, 1.3, 2.5):
+        homogeneous, *others = _label_kinds(n, q)
+        cases = [(homogeneous, None), (homogeneous, False)] + [(ctx, None) for ctx in others]
+        for ctx, renormalize in cases:
+            for N in range(4):
+                for inverse in (False, True):
+                    got = build_matrices(n, N, ctx=ctx, inverse=inverse, renormalize=renormalize)
+                    renorm = ctx.is_homogeneous() if renormalize is None else renormalize
+                    want = _rewrite_by_sector(ctx, N, inverse, renorm)
+                    for g, w in zip(got, want, strict=True):
+                        assert g.entries.tobytes() == w.tobytes(), (n, N, q, ctx.labels, renormalize, inverse)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 4),
@@ -727,6 +778,18 @@ class TestRoutes:
         ])
         assert hashlib.md5(text.encode()).hexdigest() == "057dce44e55183fc580c33d2f3af60d6"
 
+    def test_numeric_rewrite_pinned(self):
+        # md5 of every numeric rewrite family's float64 bytes for n = 2..5, N = 0..3,
+        # homogeneous, marked and all-distinct labels, both directions
+        digest = hashlib.md5()
+        for n in range(2, 6):
+            for ctx in _label_kinds(n, 0.65):
+                for N in range(4):
+                    for inverse in (False, True):
+                        for m in build_matrices(n, N, ctx=ctx, inverse=inverse):
+                            digest.update(m.entries.tobytes())
+        assert digest.hexdigest() == "97262a281f4c6378fd3fd6935c43c8ec"
+
     def test_direct_series_formula(self, mctx3):
         rw = build_matrices(3, 2, route="rewrite", ctx=mctx3)
         dr = build_matrices(3, 2, route="direct", ctx=mctx3, formula="series")
@@ -816,11 +879,10 @@ class TestRoutes:
 
     def test_generator_rejects_unknown_variant(self, het2):
         empty = WeightVector(het2)
-        for kwargs in ({"formula": "bogus"}, {"binomial": "bogus"}, {"formula": "series", "binomial": "bogus"}):
-            with pytest.raises(ValueError, match="must be"):
-                apply_braid_generator(1, empty, **kwargs)
-            with pytest.raises(ValueError, match="must be"):
-                sigma_weight_matrix(het2, 1, 1, **kwargs)
+        with pytest.raises(ValueError, match="must be"):
+            apply_braid_generator(1, empty, formula="bogus")
+        with pytest.raises(ValueError, match="must be"):
+            sigma_weight_matrix(het2, 1, 1, formula="bogus")
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""scripts/exact_sizes.py: a rung of either ladder reports every stage, and the guards hold."""
+"""scripts/exact_sizes.py: a rung of each ladder reports every stage, and the guards hold."""
 
 import json
 import os
@@ -37,6 +37,16 @@ def test_direct_rung_runs():
     assert rung["relation_defect"] < 1e-12 and rung["inverse_defect"] < 1e-12
     for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "to_json_s", "peak_rss_mb"):
         assert rung[key] >= 0.0
+
+
+def test_rewrite_rung_runs():
+    # the guard skips all-distinct (6,2) of the rewrite ladder as it does the direct one's
+    rung, big = _ladder("--ladder", "rewrite", "--sizes", "3,2,distinct", "6,2,distinct")["rungs"]
+    assert rung["labels"] == "distinct" and rung["d"] == 6 * 3
+    assert rung["relation_defect"] < 1e-12 and rung["inverse_defect"] < 1e-12
+    for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "to_json_s", "peak_rss_mb"):
+        assert rung[key] >= 0.0
+    assert big["d"] == 10800 and "skipped" in big and "build_s" not in big
 
 
 def test_direct_guard_skips_oversized_rung():

@@ -204,6 +204,9 @@ class TestCliInvalidInput:
         ["word", "--n", "3", "--N", "-1", "--word", "1"],
         ["word", "--n", "3", "--N", "1", "--backend", "laurent", "--inverse", "--word", "1 -1"],
         ["matrix", "--n", "3", "--N", "1", "--route", "closed_form"],
+        ["dims", "--n", "1"],
+        ["dims", "--n", "3", "--N", "-1"],
+        ["word", "--n", "3", "--N", "1", "--word", "1 x"],
     ])
     def test_exits_two(self, argv, capsys):
         try:
@@ -214,6 +217,17 @@ class TestCliInvalidInput:
         assert rc == 2
         assert captured.out == ""
         assert captured.err
+
+    def test_failed_solve_exits_one(self, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError, but it is a failed computation, not bad input
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "build_matrices", singular)
+        rc = cli.main(["matrix", "--n", "3", "--N", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "" and "Singular matrix" in captured.err
 
 
 class TestCliWord:
