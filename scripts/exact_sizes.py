@@ -1,31 +1,36 @@
-"""Size ladders of the exact (Laurent) backend and of the numeric direct
-and rewrite routes: where their cost curves bend.
+"""Size ladders of the exact (Laurent) backend, of the numeric direct and
+rewrite routes, and of the exact lowest-weight kernel: where their cost
+curves bend.
 
-    python3 scripts/exact_sizes.py [--ladder exact|direct|rewrite] [--sizes ...]
+    python3 scripts/exact_sizes.py [--ladder exact|direct|rewrite|kernel] [--sizes ...]
                                    [--budget S] [--mem-cap GB] [--src DIR]
 
 An exact rung is "n,N"; the exact ladder is (8,5) -> (14,5).  A numeric
 rung is "n,N,distinct" (n! sectors, all labels different) or
 "n,N,homogeneous" (one sector), built with q = 0.6 by the ladder's route.
-The direct ladder is all-distinct (5,3), (5,4), (6,1), (6,2), then
-homogeneous (8,5) and (10,4); the rewrite ladder is the same all-distinct
-rungs, then homogeneous (8,5) and (10,5).  Each rung runs in a fresh
-process with one BLAS thread and times the forward build, the inverse
-build, ``braid_relation_defect`` on the forward family, ``inverse_defect``
-and ``family_to_json`` of the forward family.  ``peak_rss_mb`` is read
-after the checks and ``export_peak_rss_mb`` after the export.  ``d`` is the
-matrix dimension: sectors times C(n+N-2, N).  The last line of output is
-one JSON object.
+The direct ladder is all-distinct (5,3), (5,4), (6,1), (6,2), (7,1),
+(7,2), then homogeneous (8,5) and (10,4); the rewrite ladder is the same
+all-distinct rungs and (8,1), then homogeneous (8,5) and (10,5).  Each
+exact or numeric rung runs in a fresh process with one BLAS thread and
+times the forward build, the inverse build, ``braid_relation_defect`` on
+the forward family, ``inverse_defect`` and ``family_to_json`` of the
+forward family.  ``peak_rss_mb`` is read after the checks and
+``export_peak_rss_mb`` after the export.  ``d`` is the matrix dimension:
+sectors times C(n+N-2, N).  A kernel rung is "n,N" too; it times
+``lowest_weight_kernel_exact``, and the kernel ladder is (6,4), (6,5),
+(3,40), (2,70).  The last line of output is one JSON object.
 
 Guards: the ladder stops after the first rung that takes longer than
 ``--budget`` seconds (that rung is killed at the budget).  Before a rung
-starts, its footprint is predicted from d at 8 bytes per list slot or
-float: (n-1) d**2 slots for the export, and twice that again for the two
-builds when the family is stored dense (numeric families, or exact entries
-kept as nested lists).  A rung whose builds alone pass ``--mem-cap`` is
-skipped, and a rung whose export would pass it runs without the export;
-nothing of either is allocated.  ``--src`` measures another checkout's
-``src/``.
+starts, its footprint is predicted at 8 bytes per list slot or float:
+(n-1) d**2 slots for the export; for the two numeric builds, (n-1)
+sectors C(n+N-2, N)**2 floats each when the checkout stores sector blocks,
+else (n-1) d**2 (exact builds store triplets, counted as nothing); for a
+kernel, one slot per weight state of each kernel vector.  A rung whose
+builds alone pass ``--mem-cap`` is skipped, and a rung whose export would
+pass it runs without the export; nothing of either is allocated.
+``--src`` measures another checkout's ``src/``, with the footprint that
+checkout stores.
 """
 
 import os
@@ -45,11 +50,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 SLOT_BYTES = 8
 LADDERS = {
     "exact": ["8,5", "10,5", "12,5", "14,5"],
-    "direct": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct",
-               "8,5,homogeneous", "10,4,homogeneous"],
-    "rewrite": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct",
-                "8,5,homogeneous", "10,5,homogeneous"],
+    "direct": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct", "7,1,distinct",
+               "7,2,distinct", "8,5,homogeneous", "10,4,homogeneous"],
+    "rewrite": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct", "7,1,distinct",
+                "7,2,distinct", "8,1,distinct", "8,5,homogeneous", "10,5,homogeneous"],
+    "kernel": ["6,4", "6,5", "3,40", "2,70"],
 }
+EXACT_RUNGS = ("exact", "kernel")
 
 
 def peak_rss_mb():
@@ -68,6 +75,18 @@ def dimension(n, N, labels):
     return (math.factorial(n) if labels == "distinct" else 1) * math.comb(n + N - 2, N)
 
 
+def footprint(ladder, n, N, labels, blocks):
+    """Predicted bytes of a rung's two builds and of its export."""
+    if ladder == "kernel":
+        return math.comb(n + N - 1, N) * math.comb(n + N - 2, N) * SLOT_BYTES, 0
+    d = dimension(n, N, labels)
+    export = (n - 1) * d * d * SLOT_BYTES
+    if ladder == "exact":
+        return 0, export
+    stored = d * math.comb(n + N - 2, N) if blocks else d * d
+    return 2 * (n - 1) * stored * SLOT_BYTES, export
+
+
 def family_builder(n, labels, route):
     """build_matrices for the rung: exact, or the numeric route on the rung's labels."""
     from braidosc import Context, RepLabel, build_matrices
@@ -81,8 +100,13 @@ def family_builder(n, labels, route):
 
 def run_rung(n, N, labels, route, export):
     """Time one rung in this process; returns its JSON record."""
-    from braidosc import braid_relation_defect, family_to_json, inverse_defect
+    from braidosc import braid_relation_defect, family_to_json, inverse_defect, lowest_weight_kernel_exact
 
+    if route == "kernel":
+        t0 = time.perf_counter()
+        kernel = lowest_weight_kernel_exact(n, N)
+        return {"n": n, "N": N, "d": len(kernel.vectors), "weight_dim": len(kernel.occupations),
+                "kernel_s": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb()}
     build = family_builder(n, labels, route)
     out = {"n": n, "N": N, "d": dimension(n, N, labels)}
     t0 = time.perf_counter()
@@ -104,19 +128,20 @@ def run_rung(n, N, labels, route, export):
     return out
 
 
-def stores_lists():
-    """True when the package keeps exact entries as nested lists, which are dense."""
-    from braidosc import build_matrices
+def stores_blocks():
+    """True when the package stores numeric families as sector blocks, not dense arrays."""
+    from braidosc import Context, RepLabel, build_matrices
 
-    return isinstance(build_matrices(3, 1)[0].entries, list)
+    ctx = Context([RepLabel(1.0, 0.5), RepLabel(1.1, 0.7)], 0.6)
+    return hasattr(vars(build_matrices(2, 1, ctx=ctx)[0])["entries"], "blocks")
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--ladder", choices=sorted(LADDERS), default="exact", help="exact backend or numeric route")
-    p.add_argument("--sizes", nargs="+", help="n,N (exact) or n,N,distinct|homogeneous (numeric) per rung")
+    p.add_argument("--ladder", choices=sorted(LADDERS), default="exact", help="exact backend, numeric route or exact kernel")
+    p.add_argument("--sizes", nargs="+", help="n,N (exact, kernel) or n,N,distinct|homogeneous (numeric) per rung")
     p.add_argument("--budget", type=float, default=60.0, help="seconds per rung")
-    p.add_argument("--mem-cap", type=float, default=2.0, help="GB of predicted dense entries and export lists")
+    p.add_argument("--mem-cap", type=float, default=2.0, help="GB of predicted stored entries and export lists")
     p.add_argument("--src", default=SRC, help="src/ directory of the checkout to measure")
     p.add_argument("--rung", help=argparse.SUPPRESS)
     p.add_argument("--no-export", action="store_true", help=argparse.SUPPRESS)
@@ -128,17 +153,15 @@ def main(argv=None):
 
     sizes = args.sizes or LADDERS[args.ladder]
     rungs = [parse_rung(size) for size in sizes]
-    if any((labels is None) != (args.ladder == "exact") for _, _, labels in rungs):
-        raise SystemExit("exact rungs are n,N and numeric rungs n,N,labels")
-    dense = args.ladder != "exact" or stores_lists()
+    if any((labels is None) != (args.ladder in EXACT_RUNGS) for _, _, labels in rungs):
+        raise SystemExit("exact and kernel rungs are n,N and numeric rungs n,N,labels")
+    blocks = args.ladder not in EXACT_RUNGS and stores_blocks()
     cap = args.mem_cap * 2 ** 30
-    report = {"ladder": args.ladder, "budget_s": args.budget, "mem_cap_gb": args.mem_cap, "stores_dense": dense,
+    report = {"ladder": args.ladder, "budget_s": args.budget, "mem_cap_gb": args.mem_cap, "stores_blocks": blocks,
               "rungs": []}
     for size, (n, N, labels) in zip(sizes, rungs):
-        d = dimension(n, N, labels)
-        export_bytes = (n - 1) * d * d * SLOT_BYTES
-        build_bytes = 2 * export_bytes if dense else 0
-        rung = {"n": n, "N": N, "d": d, "predicted_gb": (build_bytes + export_bytes) / 2 ** 30}
+        build_bytes, export_bytes = footprint(args.ladder, n, N, labels, blocks)
+        rung = {"n": n, "N": N, "d": dimension(n, N, labels), "predicted_gb": (build_bytes + export_bytes) / 2 ** 30}
         if labels:
             rung["labels"] = labels
         if build_bytes > cap:

@@ -20,6 +20,9 @@ matrices, computed here by two deliberately independent routes:
   powers of x) and, in one array pass over the sector stack, every sector
   block of the numeric backend.
 
+Each sigma_i maps every sector into exactly one other, so a numeric matrix
+is stored as the sector blocks both routes compute and their target sectors.
+
 Closed-form families (reduced Burau for level 1, a Lawrence-Krammer-Bigelow
 style family for level 2, and the one-marked-slot level-1 family) are
 implemented separately again so that each can cross-check the others.
@@ -56,7 +59,6 @@ from .weightspace import (
     _rank,
     _sector_major,
     _weight_matrix,
-    lowest_weight_dimension,
     lowest_weight_monomials,
     monomial_exponents,
 )
@@ -234,7 +236,8 @@ def _rewrite_table(i, exps):
     """
     exps = np.array(exps, np.int64).reshape(len(exps), -1)
     d = len(exps)
-    p = np.pad(exps, ((0, 0), (1, 1)))  # p[:, k] is the power of O_k, with absent O_0 and O_n
+    edge = np.zeros((d, 1), np.int64)
+    p = np.hstack((edge, exps, edge))  # p[:, k] is the power of O_k, with absent O_0 and O_n
     per = (p[:, i - 1] + 1) * (p[:, i + 1] + 1)
     col = np.repeat(np.arange(d), per)
     left, mid, right = p[col, i - 1], p[col, i], p[col, i + 1]
@@ -276,14 +279,15 @@ def _exchange_factors(ctx, targets, i, inverse):
 class BraidMatrix:
     """One braid generator on a lowest-weight space, with basis metadata.
 
-    ``entries`` is a float ndarray (numeric backend) or, for the exact
-    backend, a read-only view of nested Laurent rows; columns are indexed
+    ``entries`` is a read-only view, built on first read, of the stored
+    form: a float array over sector blocks (numeric, _BlockMatrix) or
+    nested Laurent rows over integer triplets (exact).  Columns are indexed
     by ``basis`` in the recorded order, and the physical generator is
-    phase * entries.  An exact matrix is stored as integer triplets, and
-    the view builds its row tuples on first read.  Nested lists given to
-    the constructor (directly, or through ``dataclasses.replace``) are
-    converted into that stored form, so an edit goes through a new matrix:
-    assigning into a row raises TypeError.
+    phase * entries.  Entries given to the constructor (directly, or
+    through ``dataclasses.replace``) become the stored form: an array is
+    copied as one dense block, nested lists become triplets.  So an edit
+    goes through a new matrix: writing into the array raises ValueError,
+    assigning into a row TypeError.
     """
 
     generator: int
@@ -299,16 +303,12 @@ class BraidMatrix:
     labels: tuple | None = None
     solve_residual: float | None = None
 
-    def __post_init__(self):
-        if self.backend == "laurent" and not isinstance(self.entries, _LaurentView):
-            self.entries = _LaurentView(_exact(self.entries))
-
     @property
     def dimension(self):
         return len(self.basis)
 
     def entries_json(self):
-        return _entries_json(self.entries)
+        return _entries_json(vars(self)["entries"])
 
     def to_json(self):
         out = {
@@ -321,17 +321,35 @@ class BraidMatrix:
         return out
 
 
-def _entries_json(entries):
-    """Wire form of a float array or of an exact matrix, read-only.
+def _read_entries(mat):
+    stored = vars(mat)["entries"]
+    return stored if isinstance(stored, _LaurentView) else stored.dense()
+
+
+def _store_entries(mat, value):
+    if isinstance(value, np.ndarray):
+        # a copy: the stored form never aliases an array the caller holds
+        value = _BlockMatrix(np.zeros(1, np.intp), np.array(value)[None])
+    elif not isinstance(value, (_BlockMatrix, _LaurentView)):
+        value = _LaurentView(_exact(value))
+    vars(mat)["entries"] = value
+
+
+# a data descriptor, so the stored form is the only field behind ``entries``
+BraidMatrix.entries = property(_read_entries, _store_entries)
+
+
+def _entries_json(stored):
+    """Wire form of a stored float or exact matrix, read-only.
 
     Zero entries share one object, and only the others are formatted: a
-    many-sector float matrix is almost all +0.0, and an exact one has
-    about 1.5 nonzero entries per column.  Each float entry equals
-    ``numeric_to_json`` of it, so -0.0 and nan keep their own text; each
-    exact entry equals ``Laurent.to_json`` of it.
+    float matrix is +0.0 outside its sector blocks, so only they are read,
+    and an exact one has about 1.5 nonzero entries per column.  Each float
+    entry equals ``numeric_to_json`` of it, so -0.0 and nan keep their own
+    text; each exact entry equals ``Laurent.to_json`` of it.
     """
-    if not isinstance(entries, np.ndarray):
-        m = _exact(entries)
+    if not isinstance(stored, _BlockMatrix):
+        m = _exact(stored)
         # triplets run by exponent, so each entry's terms come in Laurent.to_json order
         terms = {}
         for k, r, c, v in zip(m.k.tolist(), m.r.tolist(), m.c.tolist(), m.v.tolist()):
@@ -341,10 +359,11 @@ def _entries_json(entries):
         for (r, c), t in terms.items():
             out[r][c] = {"terms": t}
         return out
-    rows, cols = entries.shape
-    out = [["0.0"] * cols for _ in range(rows)]
-    r, c = np.nonzero((entries != 0) | np.signbit(entries))
-    for i, j, v in zip(r.tolist(), c.tolist(), entries[r, c].tolist()):
+    blocks = stored.blocks
+    count, rows, cols = blocks.shape
+    out = [["0.0"] * (count * cols) for _ in range(count * rows)]
+    s, r, c = np.nonzero((blocks != 0) | np.signbit(blocks))
+    for i, j, v in zip((stored.target[s] * rows + r).tolist(), (s * cols + c).tolist(), blocks[s, r, c].tolist()):
         out[i][j] = repr(v)
     return out
 
@@ -381,7 +400,7 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
             vacuum = 1.0 if renormalize else _qpow_each(ctx, -(ca * gb + cb * ga), inverse)
             blocks = np.zeros((len(sectors), d, d))
             blocks[:, row, col] = mult * math.prod(table[:, k, counts[k]] for k in range(5)) * vacuum
-            entries = _sector_major(blocks, [number[sec] for sec in map(tuple, targets.tolist())])
+            entries = _BlockMatrix(np.array([number[sec] for sec in map(tuple, targets.tolist())]), blocks)
         phase = Phase(sign) if (exact or renormalize) else Phase()
         mats.append(BraidMatrix(
             generator=i, inverse=inverse, n=n, N=N, route="rewrite", backend=backend, basis=basis,
@@ -424,7 +443,7 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
         phase = Phase(-1 if inverse else 1) if renormalize else Phase()
         mats.append(BraidMatrix(
             generator=i, inverse=inverse, n=n, N=N, route="direct", backend="numeric", basis=basis,
-            entries=_sector_major(coeffs / common, t), phase=phase, q=float(ctx.q), labels=ctx.labels,
+            entries=_BlockMatrix(np.array(t), coeffs / common), phase=phase, q=float(ctx.q), labels=ctx.labels,
             solve_residual=worst,
         ))
     return mats
@@ -854,10 +873,9 @@ class _ExactMatrix:
         shape = (len(entries), len(entries[0]) if entries else 0)
         return cls(shape, *arr.T.copy())
 
-    @classmethod
-    def identity(cls, d):
-        idx = np.arange(d, dtype=np.int64)
-        return cls((d, d), np.zeros(d, np.int64), idx, idx, np.ones(d, np.int64))
+    def identity(self):
+        idx = np.arange(self.shape[0], dtype=np.int64)
+        return _ExactMatrix((len(idx),) * 2, np.zeros_like(idx), idx, idx, np.ones_like(idx))
 
     def __matmul__(self, other):
         (rows, inner), (inner_b, cols) = self.shape, other.shape
@@ -957,30 +975,15 @@ class _BlockMatrix:
     """Float matrix that maps each column sector into one row sector.
 
     Column sector s has its only nonzero block, ``blocks[s]``, in row
-    sector ``target[s]``.  One block (``target == [0]``) is a plain dense
-    matrix, so every float matrix has this form.
+    sector ``target[s]``.  Both numeric routes store this form; an array
+    given to BraidMatrix is one block (``target == [0]``), so every float
+    matrix has it.
     """
 
-    __slots__ = ("target", "blocks")
+    __slots__ = ("target", "blocks", "_dense")
 
     def __init__(self, target, blocks):
-        self.target, self.blocks = target, blocks
-
-    @classmethod
-    def from_dense(cls, entries, size):
-        """Blocks of a sector-major array with ``size`` rows per sector.
-
-        A column sector with two nonzero row blocks makes it one block.
-        """
-        dim = entries.shape[0]
-        sectors = dim // size
-        if sectors > 1:
-            view = entries.reshape(sectors, size, sectors, size)
-            nonzero = (view != 0).any(axis=(1, 3))  # [row sector, column sector]
-            if nonzero.sum(axis=0).max() <= 1:
-                target = nonzero.argmax(axis=0)
-                return cls(target, view[target, :, np.arange(sectors), :])
-        return cls(np.zeros(1, np.intp), entries.reshape(1, dim, dim))
+        self.target, self.blocks, self._dense = target, blocks, None
 
     def identity(self):
         """The identity with this matrix's sectors."""
@@ -988,10 +991,14 @@ class _BlockMatrix:
         return _BlockMatrix(np.arange(sectors), np.broadcast_to(np.eye(size), self.blocks.shape))
 
     def flat(self):
-        return _BlockMatrix(np.zeros(1, np.intp), self.dense()[None])
+        return _BlockMatrix(np.zeros(1, np.intp), _sector_major(self.blocks, self.target)[None])
 
     def dense(self):
-        return _sector_major(self.blocks, self.target)
+        """The sector-major array, built on first read and read-only."""
+        if self._dense is None:
+            self._dense = _sector_major(self.blocks, self.target)
+            self._dense.flags.writeable = False
+        return self._dense
 
     def __matmul__(self, other):
         if len(self.target) != len(other.target):
@@ -1012,10 +1019,9 @@ class _BlockMatrix:
 
 
 def _operand(mat):
-    """A family member's float entries as blocks, exact entries as an exact matrix."""
-    if isinstance(mat.entries, np.ndarray):
-        return _BlockMatrix.from_dense(mat.entries, lowest_weight_dimension(mat.n, mat.N))
-    return _exact(mat.entries)
+    """A family member's stored form: sector blocks, or an exact matrix."""
+    stored = vars(mat)["entries"]
+    return stored if isinstance(stored, _BlockMatrix) else _exact(stored)
 
 
 def lmat_mul(A, B):
@@ -1081,10 +1087,7 @@ def inverse_defect(fwd, inv):
         if (mf.phase * mi.phase).exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
         prod = _operand(mf) @ _operand(mi)
-        if isinstance(prod, _BlockMatrix):
-            d = prod.max_diff(prod.identity())
-        else:
-            d = _defect(prod, _ExactMatrix.identity(prod.shape[0]))
+        d = prod.max_diff(prod.identity()) if isinstance(prod, _BlockMatrix) else _defect(prod, prod.identity())
         worst = max(worst, d)
     return worst
 
@@ -1094,20 +1097,23 @@ def evaluate_word(word, forward, inverse):
 
     Positive letter k means generator k, negative its inverse; the
     returned pair is (entries, phase) with the leftmost letter acting
-    first, i.e. the product M(w_L) ... M(w_1).  Entries are a float array
-    or nested lists of Laurent polynomials.
+    first, i.e. the product M(w_L) ... M(w_1).  Entries are a new float
+    array or nested lists of Laurent polynomials.
     """
     total, phase = _word_product(word, forward, inverse)
-    return (total.to_laurent() if isinstance(total, _ExactMatrix) else total), phase
+    if isinstance(total, _ExactMatrix):
+        return total.to_laurent(), phase
+    dense = _sector_major(total.blocks, total.target)
+    # one sector comes back as a view of its block, which may be a family member's
+    return (dense.copy() if len(total.target) == 1 else dense), phase
 
 
 def _word_product(word, forward, inverse):
-    """evaluate_word with the product as a float array or an _ExactMatrix."""
+    """evaluate_word with the product in its stored form, blocks or an _ExactMatrix."""
     if not forward:
         raise ValueError("empty generator family")
     by_gen_f = {m.generator: m for m in forward}
     by_gen_i = {m.generator: m for m in inverse} if inverse else {}
-    operands = {}
     total = None
     phase = Phase()
     for letter in word:
@@ -1117,16 +1123,9 @@ def _word_product(word, forward, inverse):
                 "word letter %r names no generator: letters are nonzero, |letter| <= %d, "
                 "and negative letters need the inverse family" % (letter, len(forward))
             )
-        if letter not in operands:
-            operands[letter] = _operand(mat)
-        total = operands[letter] if total is None else operands[letter] @ total
+        total = _operand(mat) if total is None else _operand(mat) @ total
         phase = mat.phase * phase
-    if isinstance(total, _BlockMatrix):
-        return total.dense(), phase
-    if total is None:
-        dim = forward[0].dimension
-        total = np.eye(dim) if isinstance(forward[0].entries, np.ndarray) else _ExactMatrix.identity(dim)
-    return total, phase
+    return (_operand(forward[0]).identity() if total is None else total), phase
 
 
 def family_to_json(mats):

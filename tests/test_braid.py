@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from braidosc.braid import (
     sigma_weight_matrix,
     unreduced_burau,
     apply_braid_generator,
+    _BlockMatrix,
     _ExactMatrix,
     _braid_closed,
     _braid_op,
@@ -756,6 +758,79 @@ class TestExactStorage:
             assert phase == same_phase
 
 
+def _distinct_pair(route):
+    """Forward and inverse all-distinct (4,2) families: 24 sectors of 6."""
+    ctx = Context([RepLabel(0.7, 0.4), RepLabel(1.0, 0.9), RepLabel(1.4, 0.5), RepLabel(1.8, 1.2)], 0.6)
+    return [build_matrices(4, 2, route=route, ctx=ctx, inverse=inverse) for inverse in (False, True)]
+
+
+class TestNumericStorage:
+    """Numeric entries are a read-only view of the stored sector blocks."""
+
+    @pytest.mark.parametrize("route", ["rewrite", "direct"])
+    def test_array_rejects_writes(self, route):
+        fwd, _ = _distinct_pair(route)
+        m = fwd[0]
+        # the stored blocks are the only field behind entries
+        assert set(vars(m)) == {f.name for f in dataclasses.fields(m)}
+        assert isinstance(vars(m)["entries"], _BlockMatrix) and len(vars(m)["entries"].target) == 24
+        assert m.entries is m.entries and m.entries.shape == (144, 144)
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            m.entries[:] = 0.0
+
+    @pytest.mark.parametrize("route", ["rewrite", "direct"])
+    @pytest.mark.parametrize("rebuild", [
+        lambda m, array: dataclasses.replace(m, entries=array),
+        lambda m, array: type(m)(**{**m.__dict__, "entries": array}),
+    ])
+    def test_constructor_copies_arrays(self, route, rebuild):
+        fwd, inv = _distinct_pair(route)
+        edited = np.array(fwd[1].entries)
+        edited[_off_block_row(edited, 6, 0), 0] = 0.5 * np.max(np.abs(edited))
+        zero = np.flatnonzero(edited[:, 1] == 0)[0]
+        edited[zero, 1] = -0.0
+        given = edited.tobytes()
+        fam = [fwd[0], rebuild(fwd[1], edited), *fwd[2:]]
+        edited[:] = 7.0
+        # a copy, stored as one dense block
+        assert fam[1].entries.tobytes() == given and len(vars(fam[1])["entries"].target) == 1
+        want, slack = _dense_relation_defect([m.entries for m in fam])
+        assert want > 1e-3 and abs(braid_relation_defect(fam) - want) <= slack
+        want = max(np.max(np.abs(f.entries @ b.entries - np.eye(144))) for f, b in zip(fam, inv))
+        assert want > 1e-3 and inverse_defect(fam, inv) == pytest.approx(want, rel=1e-12)
+        word = [2, 1, -2]
+        total, _ = evaluate_word(word, fam, inv)
+        _assert_rounding_level(total, *_dense_word(word, fam, inv))
+        assert evaluate_word([2], fam, inv)[0].tobytes() == given
+        js = family_to_json(fam)["matrices"][1]["entries"]
+        assert js == [[numeric_to_json(v) for v in row] for row in fam[1].entries] and js[zero][1] == "-0.0"
+
+    @pytest.mark.parametrize("route", ["rewrite", "direct"])
+    def test_words_are_new_arrays(self, route, mctx3, hctx3):
+        for ctx in (mctx3, hctx3):
+            fwd = build_matrices(3, 2, route=route, ctx=ctx)
+            for word in ([], [1], [1, 2]):
+                total, _ = evaluate_word(word, fwd, None)
+                assert total.flags.writeable
+                assert not any(np.shares_memory(total, vars(m)["entries"].blocks) for m in fwd)
+
+    def test_checks_read_blocks(self):
+        # all-distinct (5,3): dense entries would be 46 MB per generator
+        ctx = Context([RepLabel(0.6 + 0.2 * k, 0.3 + 0.25 * k) for k in range(5)], 0.7)
+        for route in ("rewrite", "direct"):
+            tracemalloc.start()
+            try:
+                fwd, inv = (build_matrices(5, 3, route=route, ctx=ctx, inverse=inverse) for inverse in (False, True))
+                assert braid_relation_defect(fwd) < 1e-12 and inverse_defect(fwd, inv) < 1e-12
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fwd[0].dimension == 2400 and peak < 32 * 2 ** 20
+            assert all(vars(m)["entries"]._dense is None for m in fwd + inv)
+
+
 class TestRoutes:
     def test_rewrite_vs_direct(self, hctx3, mctx3):
         for ctx in (hctx3, mctx3):
@@ -1084,8 +1159,9 @@ def test_block_checks_fall_back_to_dense_off_the_blocks():
     assert want > 0.1 and abs(braid_relation_defect(mixed) - want) <= slack
     ctx = Context([RepLabel(0.7, 0.4), RepLabel(1.0, 0.9), RepLabel(1.4, 0.5), RepLabel(1.8, 1.2)], 0.6)
     fwd, inv = (build_matrices(4, 2, ctx=ctx, inverse=inverse) for inverse in (False, True))
-    E = fwd[1].entries
+    E = np.array(fwd[1].entries)
     E[_off_block_row(E, 6, 0), 0] = 0.5 * np.max(np.abs(E))
+    fwd[1] = dataclasses.replace(fwd[1], entries=E)
     want, _ = _dense_relation_defect([m.entries for m in fwd])
     assert want > 1e-3 and braid_relation_defect(fwd) == pytest.approx(want, rel=1e-12)
     want = max(np.max(np.abs(f.entries @ b.entries - np.eye(144))) for f, b in zip(fwd, inv))
@@ -1184,7 +1260,9 @@ class TestSerialization:
 
     def test_family_schema_numeric(self, mctx3):
         mats = build_matrices(3, 1, route="direct", ctx=mctx3)
-        mats[0].entries[0, 1] = -0.0
+        E = np.array(mats[0].entries)
+        E[0, 1] = -0.0
+        mats[0] = dataclasses.replace(mats[0], entries=E)
         doc = family_to_json(mats)
         for m, js in zip(mats, doc["matrices"]):
             assert js["entries"] == [[repr(float(v)) for v in row] for row in m.entries]
@@ -1193,9 +1271,10 @@ class TestSerialization:
         # all-distinct labels: special values outside the sector blocks
         ctx = Context([RepLabel(0.7, 0.4), RepLabel(1.1, 0.9), RepLabel(1.6, 0.5)], 1.4)
         distinct = build_matrices(3, 2, ctx=ctx)
-        E = distinct[0].entries
+        E = np.array(distinct[0].entries)
         for col, value in enumerate((-0.0, math.nan, 5e-324)):
             E[_off_block_row(E, 3, 3 * col), 3 * col] = value
+        distinct[0] = dataclasses.replace(distinct[0], entries=E)
         for m, js in zip(distinct, family_to_json(distinct)["matrices"]):
             assert js["entries"] == [[numeric_to_json(v) for v in row] for row in m.entries]
         first = {v for row in family_to_json(distinct)["matrices"][0]["entries"] for v in row}

@@ -40,18 +40,32 @@ def test_direct_rung_runs():
 
 
 def test_rewrite_rung_runs():
-    # the guard skips all-distinct (6,2) of the rewrite ladder as it does the direct one's
-    rung, big = _ladder("--ladder", "rewrite", "--sizes", "3,2,distinct", "6,2,distinct")["rungs"]
+    # the guard skips all-distinct (8,2) of the rewrite ladder as it does the direct one's
+    rung, big = _ladder("--ladder", "rewrite", "--sizes", "3,2,distinct", "8,2,distinct")["rungs"]
     assert rung["labels"] == "distinct" and rung["d"] == 6 * 3
     assert rung["relation_defect"] < 1e-12 and rung["inverse_defect"] < 1e-12
     for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "to_json_s", "peak_rss_mb"):
         assert rung[key] >= 0.0
-    assert big["d"] == 10800 and "skipped" in big and "build_s" not in big
+    assert big["d"] == 40320 * 28 and "skipped" in big and "build_s" not in big
 
 
 def test_direct_guard_skips_oversized_rung():
-    # all-distinct (6,2): d = 10800, about 4.7 GB of dense entries per direction;
+    # all-distinct (8,2): d = 1128960, about 1.8 GB of sector blocks per direction;
     # the tiny budget would stop the rung at once had the guard let it start
-    (rung,) = _ladder("--ladder", "direct", "--sizes", "6,2,distinct", "--budget", "0.001")["rungs"]
-    assert rung["d"] == 10800 and "skipped" in rung
+    (rung,) = _ladder("--ladder", "direct", "--sizes", "8,2,distinct", "--budget", "0.001")["rungs"]
+    assert rung["d"] == 40320 * 28 and "skipped" in rung
     assert "build_s" not in rung and "stopped" not in rung
+
+
+def test_guard_predicts_the_stored_form():
+    # all-distinct (6,2) builds as sector blocks, 6.5 MB per direction: it runs
+    # without the export (4.7 GB) under a cap that dense entries would pass
+    (rung,) = _ladder("--ladder", "rewrite", "--sizes", "6,2,distinct", "--mem-cap", "0.1")["rungs"]
+    assert rung["d"] == 10800 and "export_skipped" in rung and "to_json_s" not in rung
+    assert rung["relation_defect"] < 1e-12 and rung["inverse_defect"] < 1e-12
+
+
+def test_kernel_rung_runs():
+    (rung,) = _ladder("--ladder", "kernel", "--sizes", "3,4")["rungs"]
+    assert rung["d"] == 5 and rung["weight_dim"] == 15
+    assert rung["kernel_s"] >= 0.0 and rung["peak_rss_mb"] > 0.0
