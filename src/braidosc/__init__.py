@@ -4,131 +4,84 @@ The package builds lowest-weight subspaces of n-fold tensor products of
 deformed-oscillator representations and computes the braid generator
 matrices acting there, with exact Laurent arithmetic in the homogeneous
 case and cross-checked numeric routes otherwise.
+
+Names load on first use: ``import braidosc`` imports no submodule, and
+reading ``braidosc.build_matrices`` imports ``braid`` (and numpy) then.
+Each read looks the name up in its submodule again and nothing is stored
+here, so a function replaced in its submodule is what the package returns.
 """
 
-from .scalars import (
-    DEFAULT_TOLS,
-    Laurent,
-    Phase,
-    Tolerances,
-    q_number,
-)
-from .oscillator import (
-    BraidoscError,
-    Context,
-    RepLabel,
-    TensorState,
-    WeightVector,
-    apply_casimir,
-    apply_coproduct,
-    apply_generator,
-    apply_intertwiner,
-    apply_monomial,
-    basis_state,
-    homogeneous_context,
-    marked_context,
-    vacuum,
-)
-from .weightspace import (
-    DimensionMismatchError,
-    counts,
-    lowest_weight_dimension,
-    lowest_weight_kernel,
-    lowest_weight_kernel_exact,
-    lowest_weight_monomials,
-    monomial_exponents,
-    span_residual,
-    verify_decomposition,
-    weight_basis,
-    weight_dimension,
-)
-from .braid import (
-    BasisElement,
-    BraidMatrix,
-    GramSolveError,
-    apply_braid_generator,
-    braid_relation_defect,
-    build_matrices,
-    closed_form_burau,
-    closed_form_lkb,
-    closed_form_marked_n1,
-    compare_transition_formulas,
-    evaluate_word,
-    family_to_json,
-    inverse_defect,
-    pair_basis_change,
-    reduced_burau_reference,
-    sigma_weight_matrix,
-    unreduced_burau,
-)
-
-# verify is loaded on first use: matrix, word and dims never need it
-_VERIFY_NAMES = ("CheckResult", "SuiteReport", "run_suites", "suite_algebra", "suite_braid", "suite_spaces")
-
-
-def __getattr__(name):
-    if name in _VERIFY_NAMES:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOLS",
-    "Laurent",
-    "Phase",
-    "Tolerances",
-    "q_number",
-    "BraidoscError",
-    "Context",
-    "RepLabel",
-    "TensorState",
-    "WeightVector",
-    "apply_casimir",
-    "apply_coproduct",
-    "apply_generator",
-    "apply_intertwiner",
-    "apply_monomial",
-    "basis_state",
-    "homogeneous_context",
-    "marked_context",
-    "vacuum",
-    "DimensionMismatchError",
-    "counts",
-    "lowest_weight_dimension",
-    "lowest_weight_kernel",
-    "lowest_weight_kernel_exact",
-    "lowest_weight_monomials",
-    "monomial_exponents",
-    "span_residual",
-    "verify_decomposition",
-    "weight_basis",
-    "weight_dimension",
-    "BasisElement",
-    "BraidMatrix",
-    "GramSolveError",
-    "apply_braid_generator",
-    "braid_relation_defect",
-    "build_matrices",
-    "closed_form_burau",
-    "closed_form_lkb",
-    "closed_form_marked_n1",
-    "compare_transition_formulas",
-    "evaluate_word",
-    "family_to_json",
-    "inverse_defect",
-    "pair_basis_change",
-    "reduced_burau_reference",
-    "sigma_weight_matrix",
-    "unreduced_burau",
-    "CheckResult",
-    "SuiteReport",
-    "run_suites",
-    "suite_algebra",
-    "suite_braid",
-    "suite_spaces",
-    "__version__",
-]
+# public name -> the submodule that defines it, in __all__ order
+_SOURCE = {
+    "DEFAULT_TOLS": "scalars",
+    "Laurent": "scalars",
+    "Phase": "scalars",
+    "Tolerances": "scalars",
+    "q_number": "scalars",
+    "BraidoscError": "scalars",
+    "Context": "oscillator",
+    "RepLabel": "oscillator",
+    "TensorState": "oscillator",
+    "WeightVector": "oscillator",
+    "apply_casimir": "oscillator",
+    "apply_coproduct": "oscillator",
+    "apply_generator": "oscillator",
+    "apply_intertwiner": "oscillator",
+    "apply_monomial": "oscillator",
+    "basis_state": "oscillator",
+    "homogeneous_context": "oscillator",
+    "marked_context": "oscillator",
+    "vacuum": "oscillator",
+    "DimensionMismatchError": "weightspace",
+    "counts": "scalars",
+    "lowest_weight_dimension": "scalars",
+    "lowest_weight_kernel": "weightspace",
+    "lowest_weight_kernel_exact": "weightspace",
+    "lowest_weight_monomials": "weightspace",
+    "monomial_exponents": "weightspace",
+    "span_residual": "weightspace",
+    "verify_decomposition": "weightspace",
+    "weight_basis": "weightspace",
+    "weight_dimension": "scalars",
+    "BasisElement": "braid",
+    "BraidMatrix": "braid",
+    "GramSolveError": "braid",
+    "apply_braid_generator": "braid",
+    "braid_relation_defect": "braid",
+    "build_matrices": "braid",
+    "closed_form_burau": "braid",
+    "closed_form_lkb": "braid",
+    "closed_form_marked_n1": "braid",
+    "compare_transition_formulas": "braid",
+    "evaluate_word": "braid",
+    "family_to_json": "braid",
+    "inverse_defect": "braid",
+    "pair_basis_change": "braid",
+    "reduced_burau_reference": "braid",
+    "sigma_weight_matrix": "braid",
+    "unreduced_burau": "braid",
+    "CheckResult": "verify",
+    "SuiteReport": "verify",
+    "run_suites": "verify",
+    "suite_algebra": "verify",
+    "suite_braid": "verify",
+    "suite_spaces": "verify",
+}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SOURCE:
+        return getattr(importlib.import_module("." + _SOURCE[name], __name__), name)
+    if name in _SOURCE.values():
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

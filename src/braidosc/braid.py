@@ -1005,17 +1005,15 @@ class _BlockMatrix:
             return self.flat() @ other.flat()
         return _BlockMatrix(self.target[other.target], self.blocks[other.target] @ other.blocks)
 
-    def max_abs(self):
-        return float(np.max(np.abs(self.blocks)))
-
     def max_diff(self, other):
-        """Largest entry of |self - other|."""
+        """Largest entry of |self - other|, and the largest of |self| and |other|."""
         if len(self.target) != len(other.target):
             return self.flat().max_diff(other.flat())
         mine, theirs = (np.abs(m.blocks).max(axis=(1, 2)) for m in (self, other))
         # a column sector whose targets differ holds both blocks, apart
         same = np.abs(self.blocks - other.blocks).max(axis=(1, 2))
-        return float(np.max(np.where(self.target == other.target, same, np.maximum(mine, theirs))))
+        diff = np.where(self.target == other.target, same, np.maximum(mine, theirs))
+        return float(np.max(diff)), float(max(np.max(mine), np.max(theirs)))
 
 
 def _operand(mat):
@@ -1068,7 +1066,8 @@ def _defect(lhs, rhs):
         mine, theirs = (lhs.k, lhs.r, lhs.c, lhs.v), (rhs.k, rhs.r, rhs.c, -rhs.v)
         diff = _ExactMatrix(lhs.shape, *map(np.concatenate, zip(mine, theirs)))
         return float(np.max(np.abs(diff.v)))
-    return lhs.max_diff(rhs) / max(lhs.max_abs(), rhs.max_abs(), 1e-300)
+    diff, scale = lhs.max_diff(rhs)
+    return diff / max(scale, 1e-300)
 
 
 def inverse_defect(fwd, inv):
@@ -1087,7 +1086,7 @@ def inverse_defect(fwd, inv):
         if (mf.phase * mi.phase).exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
         prod = _operand(mf) @ _operand(mi)
-        d = prod.max_diff(prod.identity()) if isinstance(prod, _BlockMatrix) else _defect(prod, prod.identity())
+        d = prod.max_diff(prod.identity())[0] if isinstance(prod, _BlockMatrix) else _defect(prod, prod.identity())
         worst = max(worst, d)
     return worst
 

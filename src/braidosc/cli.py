@@ -8,6 +8,9 @@ is numeric-only and lossy.  Exit codes: 0 success, 1 invariant
 violation or int64 overflow of an exact coefficient during computation,
 2 invalid configuration (unknown options, n < 2, N < 0, non-finite q or
 labels, out-of-range word letters, options the chosen route ignores).
+
+Each command imports what it runs: ``dims`` and ``--help`` load neither
+numpy nor an operator module.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .scalars import DEFAULT_TOLS
-from .oscillator import BraidoscError, Context, RepLabel, homogeneous_context, marked_context
-from .weightspace import counts
-from .braid import _entries_json, _word_product, build_matrices, family_to_json
+from .scalars import DEFAULT_TOLS, BraidoscError, counts
 
 
 def _rep_args(p):
@@ -43,6 +41,8 @@ def _rep_args(p):
 
 
 def _build_context(args):
+    from .oscillator import Context, RepLabel, homogeneous_context, marked_context
+
     if args.labels:
         try:
             pairs = json.loads(args.labels)
@@ -67,6 +67,8 @@ def _build_family(args, inverse):
     if backend == "laurent" and (args.het or args.labels):
         print("laurent backend requires homogeneous labels", file=sys.stderr)
         raise SystemExit(2)
+    from .braid import build_matrices
+
     return build_matrices(
         args.n, args.N, route=args.route, backend=backend,
         ctx=_build_context(args) if backend == "numeric" else None,
@@ -113,6 +115,8 @@ def _emit(text, path):
 
 
 def cmd_matrix(args):
+    from .braid import family_to_json
+
     mats = _build_family(args, args.inverse)
     if args.format == "json":
         _emit(_json_text(family_to_json(mats)) + "\n", args.output)
@@ -167,6 +171,8 @@ def cmd_verify(args):
 
 
 def cmd_word(args):
+    from .braid import _entries_json, _word_product
+
     letters = [int(tok) for tok in args.word.replace(",", " ").split()]
     fwd = _build_family(args, False)
     inv = _build_family(args, True) if any(t < 0 for t in letters) else None
@@ -223,13 +229,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # numpy's LinAlgError is a ValueError, but it reports a failed computation
-    except (BraidoscError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (BraidoscError, OverflowError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        # numpy's LinAlgError is a ValueError, but it reports a failed
+        # computation; only a process that has loaded numpy.linalg can raise it
+        linalg = sys.modules.get("numpy.linalg")
+        failed = linalg is not None and isinstance(exc, linalg.LinAlgError)
+        return 2 if isinstance(exc, ValueError) and not failed else 1
 
 
 if __name__ == "__main__":

@@ -25,11 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import _check_size, q_number
-
-
-class BraidoscError(Exception):
-    """Base class for failures raised by this package."""
+# BraidoscError is defined in scalars and re-exported here
+from .scalars import BraidoscError, _check_size, q_number
 
 
 @dataclass(frozen=True)

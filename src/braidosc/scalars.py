@@ -12,6 +12,10 @@ from a closed product with integer coefficients and never divide; only the
 reduced Burau reference divides, by a monomial, which :class:`Laurent`
 inverts with a negative power.  :class:`Phase` records the overall
 prefactor that is kept out of emitted braid matrices.
+
+The package's error base class and its dimension counts live here too:
+this module needs no numpy, so the command line can count and report
+failures without loading it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,32 @@ def _check_size(name, value, low):
         raise ValueError("%s must be an integer, got %r" % (name, value))
     if value < low:
         raise ValueError("%s must be >= %d, got %r" % (name, low, value))
+
+
+class BraidoscError(Exception):
+    """Base class for failures raised by this package."""
+
+
+# ---------------------------------------------------------------------------
+# dimension counts
+
+def weight_dimension(n, N):
+    """Number of occupation patterns with total N over n slots."""
+    _check_size("n", n, 1)
+    _check_size("N", N, 0)
+    return math.comb(n + N - 1, n - 1)
+
+
+def lowest_weight_dimension(n, N):
+    """Dimension of the lowest-weight subspace at level N (per sector)."""
+    _check_size("n", n, 2)
+    return weight_dimension(n - 1, N)
+
+
+def counts(n, N):
+    """(weight dimension, per-level lowest-weight dimensions 0..N)."""
+    per_level = [lowest_weight_dimension(n, j) for j in range(N + 1)]
+    return weight_dimension(n, N), per_level
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLS, L_ZERO, Laurent, _check_size, q_number
-from .oscillator import (
+# the counts are defined in scalars, which needs no numpy, and re-exported here
+from .scalars import (
+    DEFAULT_TOLS,
+    L_ZERO,
     BraidoscError,
+    Laurent,
+    _check_size,
+    counts,
+    lowest_weight_dimension,
+    q_number,
+    weight_dimension,
+)
+from .oscillator import (
     TensorState,
     WeightVector,
     _coproduct_terms,
@@ -47,25 +57,6 @@ def monomial_exponents(n, N):
     conventional listing O_1 O_1, O_1 O_2, O_2 O_2: descending lex.
     """
     return compositions(N, n - 1)[::-1]
-
-
-def weight_dimension(n, N):
-    """Number of occupation patterns with total N over n slots."""
-    _check_size("n", n, 1)
-    _check_size("N", N, 0)
-    return math.comb(n + N - 1, n - 1)
-
-
-def lowest_weight_dimension(n, N):
-    """Dimension of the lowest-weight subspace at level N (per sector)."""
-    _check_size("n", n, 2)
-    return weight_dimension(n - 1, N)
-
-
-def counts(n, N):
-    """(weight dimension, per-level lowest-weight dimensions 0..N)."""
-    per_level = [lowest_weight_dimension(n, j) for j in range(N + 1)]
-    return weight_dimension(n, N), per_level
 
 
 @dataclass

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import braidosc
-from braidosc import cli
+from braidosc import braid, cli
 from braidosc.braid import build_matrices, family_to_json
+from braidosc.scalars import BraidoscError
 from braidosc.verify import SUITES, CheckResult, run_suites, suite_braid
 
 
@@ -53,6 +54,13 @@ class TestSuites:
         assert json.loads(json.dumps(doc))["passed"] is True
 
 
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(braidosc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_verify_module_loads_on_first_use():
     """The package and the CLI import verify only when a suite runs, yet
     its names stay part of the package."""
@@ -64,10 +72,74 @@ def test_verify_module_loads_on_first_use():
         "from braidosc.verify import run_suites\n"
         "assert braidosc.run_suites is run_suites\n"
     )
-    src = os.path.dirname(os.path.dirname(braidosc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (None, None),
+    (["dims", "--n", "7", "--N", "5", "--format", "json"], 0),
+    (["--help"], 0),
+    (["dims", "--n", "1"], 2),
+], ids=["import", "dims", "help", "dims-invalid"])
+def test_counting_and_help_load_no_numpy(argv, code):
+    """``import braidosc``, ``python -m braidosc.cli dims`` and ``--help``
+    load neither numpy nor an operator module, and neither does the exit 2
+    of an invalid ``dims``."""
+    run = "" if argv is None else (
+        "sys.argv = ['braidosc'] + %r\n"
+        "try:\n"
+        "    runpy.run_module('braidosc.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == %r, exc.code\n" % (argv, code)
+    )
+    proc = _python(
+        "import runpy, sys\n"
+        "import braidosc\n" + run +
+        "heavy = ('numpy', 'braidosc.oscillator', 'braidosc.weightspace', 'braidosc.braid')\n"
+        "loaded = [name for name in heavy if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_public_name_resolves():
+    """Names and submodules load on first read, and ``import *`` gives all of them."""
+    proc = _python(
+        "import braidosc\n"
+        "assert braidosc.braid.__name__ == 'braidosc.braid'\n"
+        "missing = [name for name in braidosc.__all__ if not hasattr(braidosc, name)]\n"
+        "assert not missing, missing\n"
+        "assert set(braidosc.__all__) <= set(dir(braidosc))\n"
+        "ns = {}\n"
+        "exec('from braidosc import *', ns)\n"
+        "assert all(ns[name] is getattr(braidosc, name) for name in braidosc.__all__)\n"
+        "assert not hasattr(braidosc, 'no_such_name')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_moved_names_keep_their_import_paths():
+    from braidosc.oscillator import BraidoscError as from_oscillator
+    from braidosc.weightspace import counts
+
+    assert braidosc.BraidoscError is from_oscillator is BraidoscError
+    assert braidosc.counts is counts
+    assert issubclass(braid.GramSolveError, BraidoscError)
+
+
+def test_package_name_follows_its_submodule(monkeypatch):
+    """The package stores no name it resolves: a function replaced in its
+    submodule is what ``braidosc`` returns, and the original after the undo."""
+    original = braid.build_matrices
+
+    def replacement(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(braid, "build_matrices", replacement)
+    assert braidosc.build_matrices is replacement
+    monkeypatch.undo()
+    assert braidosc.build_matrices is original
 
 
 class TestCliMatrix:
@@ -223,11 +295,29 @@ class TestCliInvalidInput:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(cli, "build_matrices", singular)
+        monkeypatch.setattr(braid, "build_matrices", singular)
         rc = cli.main(["matrix", "--n", "3", "--N", "1"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == "" and "Singular matrix" in captured.err
+
+    @pytest.mark.parametrize("exc, code", [
+        (BraidoscError("raised in a command"), 1),
+        (braid.GramSolveError("raised in a command"), 1),
+        (OverflowError("raised in a command"), 1),
+        (ValueError("raised in a command"), 2),
+    ])
+    def test_error_policy(self, monkeypatch, capsys, exc, code):
+        """Failed computations exit 1 and any other ValueError exits 2,
+        with the message alone on stderr."""
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(braid, "build_matrices", failing)
+        rc = cli.main(["word", "--n", "3", "--N", "1", "--word", "1"])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.out == "" and captured.err == "raised in a command\n"
 
 
 class TestCliWord:
