@@ -9,8 +9,8 @@ An exact rung is "n,N"; the exact ladder is (8,5) -> (14,5).  A numeric
 rung is "n,N,distinct" (n! sectors, all labels different) or
 "n,N,homogeneous" (one sector), built with q = 0.6 by the ladder's route.
 The direct ladder is all-distinct (5,3), (5,4), (6,1), (6,2), (7,1),
-(7,2), then homogeneous (8,5) and (10,4); the rewrite ladder is the same
-all-distinct rungs and (8,1), then homogeneous (8,5) and (10,5).  Each
+(7,2), (8,1), then homogeneous (8,5) and (10,4); the rewrite ladder is
+the same all-distinct rungs, then homogeneous (8,5) and (10,5).  Each
 exact or numeric rung runs in a fresh process with one BLAS thread and
 times the forward build, the inverse build, ``braid_relation_defect`` on
 the forward family, ``inverse_defect`` and ``family_to_json`` of the
@@ -51,7 +51,7 @@ SLOT_BYTES = 8
 LADDERS = {
     "exact": ["8,5", "10,5", "12,5", "14,5"],
     "direct": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct", "7,1,distinct",
-               "7,2,distinct", "8,5,homogeneous", "10,4,homogeneous"],
+               "7,2,distinct", "8,1,distinct", "8,5,homogeneous", "10,4,homogeneous"],
     "rewrite": ["5,3,distinct", "5,4,distinct", "6,1,distinct", "6,2,distinct", "7,1,distinct",
                 "7,2,distinct", "8,1,distinct", "8,5,homogeneous", "10,5,homogeneous"],
     "kernel": ["6,4", "6,5", "3,40", "2,70"],

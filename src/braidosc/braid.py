@@ -133,8 +133,17 @@ def _braid_series(ctx, g, inverse, sectors, occ):
 
 
 def _swapped(ctx, sectors, g):
-    """Canonical sectors after exchanging slots g, g+1 (0-based) of each."""
-    return np.array([ctx.swapped_perm(p, g + 1) for p in sectors.tolist()]).reshape(sectors.shape)
+    """Canonical sectors after exchanging slots g, g+1 (0-based) of each.
+
+    Only rows whose two slots hold different label classes change: a swap
+    within a class canonicalises back to the same row, and a swap across
+    classes keeps each class's indices in ascending order.
+    """
+    pair = sectors[:, g:g + 2]
+    classes = ctx._class[pair]
+    out = sectors.copy()
+    out[:, g:g + 2] = np.where(classes[:, :1] != classes[:, 1:], pair[:, ::-1], pair)
+    return out
 
 
 def _braid_op(ctx, i, inverse, formula):
@@ -392,8 +401,10 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
         else:
             targets = _swapped(ctx, stack, i - 1)
             factors = _exchange_factors(ctx, targets, i, inverse)
-            # powers by Python pow, gathered by count: np.power can differ in the last bit
-            table = np.array([[f ** c for c in range(N + 1)] for f in factors.ravel().tolist()]).reshape(-1, 5, N + 1)
+            # powers by Python pow, once per distinct factor, gathered by count:
+            # np.power can differ in the last bit
+            distinct, where = np.unique(factors, return_inverse=True)
+            table = np.array([[f ** c for c in range(N + 1)] for f in distinct.tolist()])[where.reshape(factors.shape)]
             ga, ca, _, _ = _slot_labels(ctx, stack, i - 1)
             gb, cb, _, _ = _slot_labels(ctx, stack, i)
             # homogeneous labels keep the constant vacuum factor in the phase
@@ -663,13 +674,13 @@ def closed_form_marked_n1(ctx, inverse=False):
     sector-major order as the rewrite route so the two are directly
     comparable.
     """
-    labs = set(ctx.labels)
-    counts = {lab: ctx.labels.count(lab) for lab in labs}
-    if len(labs) != 2 or sorted(counts.values()) != [1, ctx.n - 1]:
+    sizes = [len(members) for members in ctx._members]
+    if sorted(sizes) != [1, ctx.n - 1]:
         raise ValueError("marked family needs one label occurring exactly once")
-    special = next(lab for lab in labs if counts[lab] == 1)
-    base = next(lab for lab in labs if lab != special)
-    special_idx = ctx.labels.index(special)
+    marked_class = sizes.index(1)
+    (special_idx,) = ctx._members[marked_class]
+    base_idx = ctx._members[1 - marked_class][0]
+    base, special = ctx.labels[base_idx], ctx.labels[special_idx]
     n = ctx.n
     q = ctx.q
     g1, c1 = base.gamma, base.c
@@ -678,36 +689,21 @@ def closed_form_marked_n1(ctx, inverse=False):
     qg2 = ctx.qpow(-g2, inverse)
     d1 = ctx.qpow(-2 * c1 * g1, inverse)
     d2 = ctx.qpow(-(c2 * g1 + c1 * g2), inverse)
-    d3 = math.sqrt(ctx.qn[ctx.labels.index(base)] / ctx.qn[special_idx])
+    d3 = math.sqrt(ctx.qn[base_idx] / ctx.qn[special_idx])
     pack = (qg1, qg2, d1, d2, d3)
 
     sectors = ctx.distinct_sectors()
-    # sector -> marked position (1-based slot holding the special label)
-    def marked_pos(sec):
-        for slot, rep in enumerate(sec):
-            if ctx.labels[rep] == special:
-                return slot + 1
-        raise AssertionError
-
-    by_pos = {marked_pos(sec): tuple(sec) for sec in sectors}
     basis = monomial_basis_elements(n, 1, sectors)
-    index = {el: k for k, el in enumerate(basis)}
-
-    def unit(k):
-        p = [0] * (n - 1)
-        p[k - 1] = 1
-        return tuple(p)
-
+    # w_k^{(j)} sits at offset k - 1 (the level-1 monomials run O_1 .. O_{n-1}) in
+    # the block of the sector whose 1-based slot j holds the special label's index
+    start = {sec.index(special_idx) + 1: s * (n - 1) for s, sec in enumerate(sectors)}
     mats = []
     for i in range(1, n):
         entries = np.zeros((len(basis), len(basis)))
-        for sec in sectors:
-            j = marked_pos(sec)
+        for j, col in start.items():
             for k in range(1, n):
-                col = index[BasisElement(tuple(sec), unit(k))]
                 for (k2, j2), val in _marked_case_images(i, k, j, n, pack).items():
-                    row = index[BasisElement(by_pos[j2], unit(k2))]
-                    entries[row, col] = float(val)
+                    entries[start[j2] + k2 - 1, col + k - 1] = float(val)
         mats.append(BraidMatrix(
             generator=i, inverse=inverse, n=n, N=1, route="closed_form", backend="numeric", basis=basis,
             entries=entries, phase=Phase(), q=float(q), labels=ctx.labels,

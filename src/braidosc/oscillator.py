@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -69,7 +70,13 @@ class Context:
         self.qg_half = tuple(self.qpow(lab.gamma / 2) for lab in self.labels)
         # one row per label, read by _slot_labels
         self._table = np.array([(lab.gamma, lab.c, *v) for lab, *v in zip(self.labels, self.sqrt_qn, self.qg_half)])
-        self._canon = {}
+        # label classes, numbered by first occurrence: the class of each
+        # label index and the ascending member indices of each class
+        first = {}
+        classes = [first.setdefault(lab, len(first)) for lab in self.labels]
+        self._members = tuple(tuple(i for i, c in enumerate(classes) if c == k) for k in range(len(first)))
+        self._class = np.array(classes)
+        self._class.flags.writeable = False
 
     def qpow(self, exponent, inverse=False):
         """q**exponent, or q**-exponent under the q -> 1/q substitution."""
@@ -84,7 +91,7 @@ class Context:
         return len(self.labels)
 
     def is_homogeneous(self):
-        return len(set(self.labels)) == 1
+        return len(self._members) == 1
 
     def gamma_total(self):
         return sum(lab.gamma for lab in self.labels)
@@ -101,18 +108,10 @@ class Context:
         labels equal this collapses every permutation to the identity.
         """
         perm = tuple(perm)
-        try:
-            return self._canon[perm]
-        except KeyError:
-            pass
         if sorted(perm) != list(range(self.n)):
             raise ValueError("arrangement %r is not a permutation of the %d slots" % (perm, self.n))
-        free = {}
-        for i, lab in enumerate(self.labels):
-            free.setdefault(lab, []).append(i)
-        canon = tuple(free[self.labels[p]].pop(0) for p in perm)
-        self._canon[perm] = canon
-        return canon
+        free = [iter(members) for members in self._members]
+        return tuple(next(free[c]) for c in self._class[list(perm)].tolist())
 
     def identity_perm(self):
         return tuple(range(self.n))
@@ -127,20 +126,20 @@ class Context:
     def distinct_sectors(self):
         """Sorted canonical arrangements of the label multiset.
 
-        Adjacent swaps generate every arrangement, so the closure of the
-        identity under swapped_perm visits each sector exactly once.
+        Each label class in turn takes a set of the slots still free and
+        fills it with its member indices in ascending order (the last class
+        takes the slots left), so every arrangement is built once, already
+        canonical.
         """
-        start = self.identity_perm()
-        seen = {start}
-        todo = [start]
-        while todo:
-            perm = todo.pop()
-            for slot in range(1, self.n):
-                nxt = self.swapped_perm(perm, slot)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return sorted(seen)
+        *choosing, last = self._members
+        stack = np.full((1, self.n), -1)
+        for members in choosing:
+            free = np.nonzero(stack < 0)[1].reshape(len(stack), -1)
+            taken = np.array(list(combinations(range(free.shape[1]), len(members))))
+            stack = np.repeat(stack, len(taken), axis=0)
+            stack[np.arange(len(stack))[:, None], free[:, taken].reshape(len(stack), -1)] = members
+        stack[stack < 0] = np.tile(last, len(stack))
+        return sorted(map(tuple, stack.tolist()))
 
 
 def homogeneous_context(n, gamma, c, q):

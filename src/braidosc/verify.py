@@ -487,10 +487,9 @@ def _marked_fixture_pair(ctx):
 def marked_fixture_permutation(ctx, basis, special):
     """Column permutation taking our sector-major basis to the fixture
     ordering (k ascending, marked position descending)."""
-    def marked_pos(sec):
-        return next(s + 1 for s, r in enumerate(sec) if ctx.labels[r] == special)
-
-    by_pos = {marked_pos(sec): tuple(sec) for sec in ctx.distinct_sectors()}
+    # a label that occurs once keeps its own index in every canonical sector
+    marked = ctx.labels.index(special)
+    by_pos = {sec.index(marked) + 1: sec for sec in ctx.distinct_sectors()}
     order = []
     for k in (1, 2):
         for j in (3, 2, 1):

@@ -1,7 +1,9 @@
 """Braid generator matrices: tensor action, rewriting, closed forms, words."""
 
+import copy
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +38,7 @@ from braidosc.braid import (
     _braid_closed,
     _braid_op,
     _rewrite_table,
+    _swapped,
     _word_product,
 )
 from braidosc.oscillator import (
@@ -587,6 +590,33 @@ def _label_kinds(n, q):
     yield homogeneous_context(n, base.gamma, base.c, q)
     yield marked_context(n, base, other, n // 2 + 1, 1 / q)
     yield Context([RepLabel(0.6 + 0.25 * k, 0.3 + 0.2 * k) for k in range(n)], q)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_swap_of_the_stack_matches_swapped_perm(n):
+    values = [RepLabel(1.0, 0.5), RepLabel(1.4, 0.2), RepLabel(0.8, 0.9)]
+    for pattern in itertools.product(range(3), repeat=n):
+        ctx = Context([values[v] for v in pattern], 0.6)
+        sectors = ctx.distinct_sectors()
+        for g in range(n - 1):
+            want = [ctx.swapped_perm(sec, g + 1) for sec in sectors]
+            assert list(map(tuple, _swapped(ctx, np.array(sectors), g).tolist())) == want, (pattern, g)
+
+
+def test_builds_and_checks_leave_the_context_unchanged():
+    a, b = RepLabel(1.0, 0.5), RepLabel(1.4, 0.2)
+    ctx = Context([a, b, a], 0.6)
+    before = copy.deepcopy(vars(ctx))
+    for route in ("rewrite", "direct"):
+        fwd = build_matrices(3, 1, route=route, ctx=ctx)
+        inv = build_matrices(3, 1, route=route, ctx=ctx, inverse=True)
+        evaluate_word([1, -2, 1], fwd, inv)
+        braid_relation_defect(fwd)
+        inverse_defect(fwd, inv)
+    assert vars(ctx).keys() == before.keys()
+    for key, value in before.items():
+        now = vars(ctx)[key]
+        assert np.array_equal(now, value) if isinstance(value, np.ndarray) else now == value, key
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -99,13 +99,16 @@ class TestContext:
         assert len(ctx3m.distinct_sectors()) == 3
         a, b = RepLabel(1.0, 0.5), RepLabel(1.4, 0.2)
         pool = [a, b, RepLabel(0.8, 0.9), RepLabel(1.7, 0.3), RepLabel(2.1, 0.6)]
-        for n in range(2, 6):
-            for labels in ([a] * n, [a] * (n - 1) + [b], ([a, b] * n)[:n], pool[:n]):
+        for n in range(1, 6):
+            # every pattern of three label values, and all-distinct labels
+            for labels in [[pool[v] for v in pattern] for pattern in product(range(3), repeat=n)] + [pool[:n]]:
                 ctx = Context(labels, 0.6)
                 brute = {ctx.canonical_perm(p) for p in permutations(range(n))}
-                assert ctx.distinct_sectors() == sorted(brute)
+                assert ctx.distinct_sectors() == sorted(brute), labels
         ten = homogeneous_context(10, 1.0, 0.5, 0.6)
         assert ten.distinct_sectors() == [ten.identity_perm()]
+        # sorted canonical tuples, not the lex order of label classes (that would put AAB first)
+        assert Context([a, b, a], 0.6).distinct_sectors() == [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
 
     @pytest.mark.parametrize("gamma, c", [
         (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (1.0, math.nan), (1.0, math.inf),
