@@ -21,7 +21,9 @@ matrices, computed here by two deliberately independent routes:
   block of the numeric backend.
 
 Each sigma_i maps every sector into exactly one other, so a numeric matrix
-is stored as the sector blocks both routes compute and their target sectors.
+is stored as the sector blocks both routes compute and their target sectors
+(_BlockMatrix), an exact one as integer triplets (_ExactMatrix); each
+stored form gives its own view, wire form, identity, product and comparison.
 
 Closed-form families (reduced Burau for level 1, a Lawrence-Krammer-Bigelow
 style family for level 2, and the one-marked-slot level-1 family) are
@@ -290,13 +292,14 @@ class BraidMatrix:
 
     ``entries`` is a read-only view, built on first read, of the stored
     form: a float array over sector blocks (numeric, _BlockMatrix) or
-    nested Laurent rows over integer triplets (exact).  Columns are indexed
-    by ``basis`` in the recorded order, and the physical generator is
-    phase * entries.  Entries given to the constructor (directly, or
-    through ``dataclasses.replace``) become the stored form: an array is
-    copied as one dense block, nested lists become triplets.  So an edit
-    goes through a new matrix: writing into the array raises ValueError,
-    assigning into a row TypeError.
+    nested Laurent rows over integer triplets (exact, _ExactMatrix).
+    Columns are indexed by ``basis`` in the recorded order, and the
+    physical generator is phase * entries.  Entries given to the
+    constructor (directly, or through ``dataclasses.replace``) become the
+    stored form: an array is copied as one dense block, nested lists become
+    triplets.  So an edit goes through a new matrix: writing into the array
+    raises ValueError, assigning into a row TypeError.  A metadata-only copy
+    keeps the stored form, not one dense block, given entries=vars(m)["entries"].
     """
 
     generator: int
@@ -317,7 +320,7 @@ class BraidMatrix:
         return len(self.basis)
 
     def entries_json(self):
-        return _entries_json(vars(self)["entries"])
+        return vars(self)["entries"].to_json()
 
     def to_json(self):
         out = {
@@ -331,16 +334,15 @@ class BraidMatrix:
 
 
 def _read_entries(mat):
-    stored = vars(mat)["entries"]
-    return stored if isinstance(stored, _LaurentView) else stored.dense()
+    return vars(mat)["entries"].view()
 
 
 def _store_entries(mat, value):
     if isinstance(value, np.ndarray):
         # a copy: the stored form never aliases an array the caller holds
         value = _BlockMatrix(np.zeros(1, np.intp), np.array(value)[None])
-    elif not isinstance(value, (_BlockMatrix, _LaurentView)):
-        value = _LaurentView(_exact(value))
+    elif not isinstance(value, _BlockMatrix):
+        value = _exact(value)
     vars(mat)["entries"] = value
 
 
@@ -348,42 +350,14 @@ def _store_entries(mat, value):
 BraidMatrix.entries = property(_read_entries, _store_entries)
 
 
-def _entries_json(stored):
-    """Wire form of a stored float or exact matrix, read-only.
-
-    Zero entries share one object, and only the others are formatted: a
-    float matrix is +0.0 outside its sector blocks, so only they are read,
-    and an exact one has about 1.5 nonzero entries per column.  Each float
-    entry equals ``numeric_to_json`` of it, so -0.0 and nan keep their own
-    text; each exact entry equals ``Laurent.to_json`` of it.
-    """
-    if not isinstance(stored, _BlockMatrix):
-        m = _exact(stored)
-        # triplets run by exponent, so each entry's terms come in Laurent.to_json order
-        terms = {}
-        for k, r, c, v in zip(m.k.tolist(), m.r.tolist(), m.c.tolist(), m.v.tolist()):
-            terms.setdefault((r, c), []).append([k, str(v)])
-        zero = {"terms": []}
-        out = [[zero] * m.shape[1] for _ in range(m.shape[0])]
-        for (r, c), t in terms.items():
-            out[r][c] = {"terms": t}
-        return out
-    blocks = stored.blocks
-    count, rows, cols = blocks.shape
-    out = [["0.0"] * (count * cols) for _ in range(count * rows)]
-    s, r, c = np.nonzero((blocks != 0) | np.signbit(blocks))
-    for i, j, v in zip((stored.target[s] * rows + r).tolist(), (s * cols + c).tolist(), blocks[s, r, c].tolist()):
-        out[i][j] = repr(v)
-    return out
-
-
 def monomial_basis_elements(n, N, sectors):
     exps = monomial_exponents(n, N)
     return [BasisElement(tuple(sec), powers) for sec in sectors for powers in exps]
 
 
-def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
-    exact = backend == "laurent"
+def _matrices_rewrite(n, N, ctx, inverse):
+    exact = ctx is None
+    homogeneous = exact or ctx.is_homogeneous()
     sectors = [tuple(range(n))] if exact else ctx.distinct_sectors()
     exps = monomial_exponents(n, N)
     d = len(exps)
@@ -408,20 +382,19 @@ def _matrices_rewrite(n, N, ctx, backend, inverse, renormalize):
             ga, ca, _, _ = _slot_labels(ctx, stack, i - 1)
             gb, cb, _, _ = _slot_labels(ctx, stack, i)
             # homogeneous labels keep the constant vacuum factor in the phase
-            vacuum = 1.0 if renormalize else _qpow_each(ctx, -(ca * gb + cb * ga), inverse)
+            vacuum = 1.0 if homogeneous else _qpow_each(ctx, -(ca * gb + cb * ga), inverse)
             blocks = np.zeros((len(sectors), d, d))
             blocks[:, row, col] = mult * math.prod(table[:, k, counts[k]] for k in range(5)) * vacuum
             entries = _BlockMatrix(np.array([number[sec] for sec in map(tuple, targets.tolist())]), blocks)
-        phase = Phase(sign) if (exact or renormalize) else Phase()
         mats.append(BraidMatrix(
-            generator=i, inverse=inverse, n=n, N=N, route="rewrite", backend=backend, basis=basis,
-            entries=entries, phase=phase, q=None if exact else float(ctx.q),
-            labels=None if exact else ctx.labels,
+            generator=i, inverse=inverse, n=n, N=N, route="rewrite", backend="laurent" if exact else "numeric",
+            basis=basis, entries=entries, phase=Phase(sign) if homogeneous else Phase(),
+            q=None if exact else float(ctx.q), labels=None if exact else ctx.labels,
         ))
     return mats
 
 
-def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
+def _matrices_direct(n, N, ctx, inverse, formula, tols):
     sectors = ctx.distinct_sectors()
     number = {sec: k for k, sec in enumerate(sectors)}
     basis = monomial_basis_elements(n, N, sectors)
@@ -429,7 +402,8 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
     # monomial coordinates V and Gram matrices V^T V, one block per sector
     lw = lowest_weight_monomials(ctx, N, "all", tols)
     V, gram = lw.blocks, lw.grams
-    common = float(ctx.qpow(-2 * ctx.labels[0].c * ctx.labels[0].gamma, inverse)) if renormalize else 1.0
+    phase = Phase(-1 if inverse else 1) if ctx.is_homogeneous() else Phase()
+    common = 1.0 if phase.is_trivial() else float(ctx.qpow(-2 * ctx.labels[0].c * ctx.labels[0].gamma, inverse))
     mats = []
     for i in range(1, n):
         targets, blocks = _operator_block(_braid_op(ctx, i, inverse, formula), np.array(sectors), rows, rows)
@@ -451,7 +425,6 @@ def _matrices_direct(n, N, ctx, inverse, renormalize, formula, tols):
                 "braid image leaves the lowest-weight span, residual %.2e: generator %d, sector %r, monomial %r"
                 % (worst, i, sectors[s], basis[m].powers)
             )
-        phase = Phase(-1 if inverse else 1) if renormalize else Phase()
         mats.append(BraidMatrix(
             generator=i, inverse=inverse, n=n, N=N, route="direct", backend="numeric", basis=basis,
             entries=_BlockMatrix(np.array(t), coeffs / common), phase=phase, q=float(ctx.q), labels=ctx.labels,
@@ -468,21 +441,21 @@ def build_matrices(
     backend=None,
     ctx=None,
     inverse=False,
-    renormalize=None,
     formula="closed",
     tols=DEFAULT_TOLS,
 ):
     """Matrices of all braid generators on the level-N lowest-weight space.
 
     backend "laurent" (exact, homogeneous, formal x = q**(-gamma)) needs
-    no context; backend "numeric" requires a Context.  ``renormalize``
-    defaults to True exactly when the labels are homogeneous, in which
-    case the constant vacuum factor q**(-2 c gamma) per generator is
-    reported in the phase instead of the entries.  ``formula`` ("closed"
-    or "series") picks the two-slot amplitude of the direct route; the
-    other routes check it and do not use it.  What a route would ignore
-    raises ValueError: a context of another n, ``renormalize=False`` on the
-    exact backend, and homogeneous labels on the numeric closed-form route.
+    no context; backend "numeric" requires a Context.  Homogeneous labels
+    keep the constant vacuum factor q**(-2 c gamma) per generator in the
+    phase, other labels keep theirs in the entries: phase.value(q, gamma, c)
+    * entries is the physical matrix.  Route "closed_form" is Burau (N = 1)
+    or LKB (N = 2) for homogeneous labels, the marked family for one marked
+    label at N = 1.  ``formula`` ("closed" or "series") picks the two-slot
+    amplitude of the direct route; the other routes check it and do not
+    use it.  What a route would ignore raises ValueError: a context of
+    another n, and homogeneous labels on the numeric closed-form route.
     """
     _check_size("n", n, 2)
     _check_size("N", N, 0)
@@ -496,27 +469,24 @@ def build_matrices(
     if backend == "laurent":
         if ctx is not None and not ctx.is_homogeneous():
             raise ValueError("exact backend requires homogeneous labels")
-        if renormalize not in (None, True):
-            raise ValueError("the exact backend always keeps the vacuum factor in the phase")
-        if route == "closed_form":
-            return closed_form_family(n, N, inverse=inverse)
-        if route != "rewrite":
+        if route not in ("rewrite", "closed_form"):
             raise ValueError("exact backend supports the rewrite or closed_form route")
-        return _matrices_rewrite(n, N, None, "laurent", inverse, True)
-    if ctx is None:
+        ctx = None
+    elif ctx is None:
         raise ValueError("numeric backend requires a context")
-    renorm = ctx.is_homogeneous() if renormalize is None else renormalize
-    if renorm and not ctx.is_homogeneous():
-        raise ValueError("renormalization needs homogeneous labels")
     if route == "rewrite":
-        return _matrices_rewrite(n, N, ctx, "numeric", inverse, renorm)
+        return _matrices_rewrite(n, N, ctx, inverse)
     if route == "direct":
-        return _matrices_direct(n, N, ctx, inverse, renorm, formula, tols)
-    if route == "closed_form":
-        if ctx.is_homogeneous():
-            raise ValueError("homogeneous closed forms are exact: use the laurent backend")
-        return closed_form_family(n, N, ctx=ctx, inverse=inverse)
-    raise ValueError("unknown route %r" % (route,))
+        return _matrices_direct(n, N, ctx, inverse, formula, tols)
+    if route != "closed_form":
+        raise ValueError("unknown route %r" % (route,))
+    if ctx is not None and ctx.is_homogeneous():
+        raise ValueError("homogeneous closed forms are exact: use the laurent backend")
+    if ctx is None and N in (1, 2):
+        return (closed_form_burau if N == 1 else closed_form_lkb)(n, inverse)
+    if ctx is not None and N == 1:
+        return closed_form_marked_n1(ctx, inverse)
+    raise ValueError("no closed form for %s level %d" % ("homogeneous" if ctx is None else "inhomogeneous", N))
 
 
 # ---------------------------------------------------------------------------
@@ -711,19 +681,6 @@ def closed_form_marked_n1(ctx, inverse=False):
     return mats
 
 
-def closed_form_family(n, N, ctx=None, inverse=False):
-    """Dispatch to whichever closed-form family covers (n, N, labels)."""
-    if ctx is None or ctx.is_homogeneous():
-        if N == 1:
-            return closed_form_burau(n, inverse)
-        if N == 2:
-            return closed_form_lkb(n, inverse)
-        raise ValueError("no closed form for homogeneous level %d" % N)
-    if N == 1:
-        return closed_form_marked_n1(ctx, inverse)
-    raise ValueError("no closed form for inhomogeneous level %d" % N)
-
-
 # ---------------------------------------------------------------------------
 # independent reduced-Burau reference (textbook construction)
 
@@ -836,10 +793,10 @@ class _ExactMatrix:
     with no duplicates, so equal matrices have equal arrays.
     """
 
-    __slots__ = ("shape", "k", "r", "c", "v")
+    __slots__ = ("shape", "k", "r", "c", "v", "_view")
 
     def __init__(self, shape, k, r, c, v):
-        self.shape = shape
+        self.shape, self._view = shape, None
         if len(v):
             # canonical order: sort on one integer key, sum equal keys, drop zeros
             rows, cols = shape
@@ -868,6 +825,23 @@ class _ExactMatrix:
         arr = np.array([(e, r, c, v.numerator) for e, r, c, v in terms], np.int64).reshape(-1, 4)
         shape = (len(entries), len(entries[0]) if entries else 0)
         return cls(shape, *arr.T.copy())
+
+    def view(self):
+        """The read-only Laurent rows, a _LaurentView made on first read and kept."""
+        if self._view is None:
+            self._view = _LaurentView(self)
+        return self._view
+
+    def to_json(self):
+        # zeros share one object; triplets run by exponent, so each entry's terms come in Laurent.to_json order
+        terms = {}
+        for k, r, c, v in zip(self.k.tolist(), self.r.tolist(), self.c.tolist(), self.v.tolist()):
+            terms.setdefault((r, c), []).append([k, str(v)])
+        zero = {"terms": []}
+        out = [[zero] * self.shape[1] for _ in range(self.shape[0])]
+        for (r, c), t in terms.items():
+            out[r][c] = {"terms": t}
+        return out
 
     def identity(self):
         idx = np.arange(self.shape[0], dtype=np.int64)
@@ -900,6 +874,19 @@ class _ExactMatrix:
     def __eq__(self, other):
         mine, theirs = (self.k, self.r, self.c, self.v), (other.k, other.r, other.c, other.v)
         return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
+
+    def max_diff(self, other):
+        """(defect, 1.0): 0.0 if equal, else max |self - other| at x = 0.7 or,
+        where that is 0, the largest coefficient of the difference."""
+        if self == other:
+            return 0.0, 1.0
+        at = float(np.max(np.abs(self.at(0.7) - other.at(0.7))))
+        if at:
+            return at, 1.0
+        # unequal sides can agree at x = 0.7, but not in every coefficient
+        mine, theirs = (self.k, self.r, self.c, self.v), (other.k, other.r, other.c, -other.v)
+        diff = _ExactMatrix(self.shape, *map(np.concatenate, zip(mine, theirs)))
+        return float(np.max(np.abs(diff.v))), 1.0
 
     def at(self, x0):
         """Dense float values at x = x0."""
@@ -989,12 +976,23 @@ class _BlockMatrix:
     def flat(self):
         return _BlockMatrix(np.zeros(1, np.intp), _sector_major(self.blocks, self.target)[None])
 
-    def dense(self):
+    def view(self):
         """The sector-major array, built on first read and read-only."""
         if self._dense is None:
             self._dense = _sector_major(self.blocks, self.target)
             self._dense.flags.writeable = False
         return self._dense
+
+    def to_json(self):
+        """Wire form: ``numeric_to_json`` of each entry, reading only the
+        blocks; every +0.0 shares one string."""
+        blocks = self.blocks
+        count, rows, cols = blocks.shape
+        out = [["0.0"] * (count * cols) for _ in range(count * rows)]
+        s, r, c = np.nonzero((blocks != 0) | np.signbit(blocks))
+        for i, j, v in zip((self.target[s] * rows + r).tolist(), (s * cols + c).tolist(), blocks[s, r, c].tolist()):
+            out[i][j] = repr(v)
+        return out
 
     def __matmul__(self, other):
         if len(self.target) != len(other.target):
@@ -1013,7 +1011,7 @@ class _BlockMatrix:
 
 
 def _operand(mat):
-    """A family member's stored form: sector blocks, or an exact matrix."""
+    """A family member's stored form; a stand-in's nested Laurent lists are converted."""
     stored = vars(mat)["entries"]
     return stored if isinstance(stored, _BlockMatrix) else _exact(stored)
 
@@ -1052,16 +1050,6 @@ def braid_relation_defect(mats):
 
 
 def _defect(lhs, rhs):
-    if isinstance(lhs, _ExactMatrix):
-        if lhs == rhs:
-            return 0.0
-        at = float(np.max(np.abs(lhs.at(0.7) - rhs.at(0.7))))
-        if at:
-            return at
-        # unequal sides can agree at x = 0.7, but not in every coefficient
-        mine, theirs = (lhs.k, lhs.r, lhs.c, lhs.v), (rhs.k, rhs.r, rhs.c, -rhs.v)
-        diff = _ExactMatrix(lhs.shape, *map(np.concatenate, zip(mine, theirs)))
-        return float(np.max(np.abs(diff.v)))
     diff, scale = lhs.max_diff(rhs)
     return diff / max(scale, 1e-300)
 
@@ -1082,8 +1070,7 @@ def inverse_defect(fwd, inv):
         if (mf.phase * mi.phase).exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
         prod = _operand(mf) @ _operand(mi)
-        d = prod.max_diff(prod.identity())[0] if isinstance(prod, _BlockMatrix) else _defect(prod, prod.identity())
-        worst = max(worst, d)
+        worst = max(worst, prod.max_diff(prod.identity())[0])
     return worst
 
 
@@ -1098,9 +1085,7 @@ def evaluate_word(word, forward, inverse):
     total, phase = _word_product(word, forward, inverse)
     if isinstance(total, _ExactMatrix):
         return total.to_laurent(), phase
-    dense = _sector_major(total.blocks, total.target)
-    # one sector comes back as a view of its block, which may be a family member's
-    return (dense.copy() if len(total.target) == 1 else dense), phase
+    return _sector_major(total.blocks, total.target), phase
 
 
 def _word_product(word, forward, inverse):

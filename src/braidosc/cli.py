@@ -171,7 +171,7 @@ def cmd_verify(args):
 
 
 def cmd_word(args):
-    from .braid import _entries_json, _word_product
+    from .braid import _word_product
 
     letters = [int(tok) for tok in args.word.replace(",", " ").split()]
     fwd = _build_family(args, False)
@@ -183,7 +183,7 @@ def cmd_word(args):
         "N": args.N,
         "backend": fwd[0].backend,
         "phase": phase.to_json(),
-        "entries": _entries_json(total),
+        "entries": total.to_json(),
     }
     _emit(_json_text(payload) + "\n", args.output)
     return 0

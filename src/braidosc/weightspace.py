@@ -203,11 +203,9 @@ def _weight_matrix(op, ctx, N, M):
 
 
 def _sector_major(blocks, targets=None):
-    """Sector-major matrix whose column sector s holds ``blocks[s]`` in row
-    sector ``targets[s]`` (s by default); one block is returned as it is."""
+    """New sector-major matrix whose column sector s holds ``blocks[s]`` in
+    row sector ``targets[s]`` (s by default)."""
     count, rows, cols = blocks.shape
-    if count == 1:
-        return blocks[0]
     out = np.zeros((count, rows, count, cols))
     out[np.arange(count) if targets is None else targets, :, np.arange(count)] = blocks
     return out.reshape(count * rows, count * cols)
@@ -233,10 +231,10 @@ class LowestWeightBasis:
     ``blocks[s]`` holds the basis vectors of sector s of
     ``weight_basis(ctx, N, sector)`` as columns over its states, and
     ``grams[s]`` their Gram matrix; ``coords`` and ``gram`` are the
-    block-diagonal matrices over the whole basis, for one sector the block
-    itself.  The kernel route returns an orthonormal family (gram =
-    identity), the monomial route the unnormalized monomial vectors in
-    ``monomial_exponents`` order.
+    block-diagonal matrices over the whole basis (``coords`` is the block
+    itself for one sector).  The kernel route returns an orthonormal family
+    (gram = identity), the monomial route the unnormalized monomial vectors
+    in ``monomial_exponents`` order.
     """
 
     ctx: object
@@ -247,7 +245,7 @@ class LowestWeightBasis:
 
     @property
     def coords(self):
-        return _sector_major(self.blocks)
+        return self.blocks[0] if len(self.blocks) == 1 else _sector_major(self.blocks)
 
     @property
     def gram(self):
@@ -378,9 +376,10 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
 
     Level j contributes vectors obtained by raising lowest-weight
     monomials of degree j with the coproduct raising operator N-j times;
-    the report records block dimensions, Casimir eigen-residuals, the
-    total rank, eigenvalue multiplicities of the Casimir matrix, and the
-    measured (not asserted) off-block Gram overlap.
+    the report records block dimensions, Casimir eigen-residuals of the
+    unit columns relative to max(1, |lambda_j|), the numerical rank of the
+    unit-column matrix, eigenvalue multiplicities of the Casimir matrix,
+    and the measured (not asserted) off-block Gram overlap.
     """
     _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
@@ -394,34 +393,35 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
 
     blocks = []
     expected_dims = []
-    worst = 0.0
     for j in range(N + 1):
         U = lowest_weight_monomials(ctx, j, sector, tols).coords
         for R in raising[j:]:
             U = R @ U
-        lam = qn_total * (c_tot + j)
-        resid = np.linalg.norm(C @ U - lam * U, axis=0) / np.linalg.norm(U, axis=0)
-        worst = max(worst, float(resid.max()))
         blocks.append(U)
         expected_dims.append(lowest_weight_dimension(ctx.n, j))
     block_dims = [U.shape[1] for U in blocks]
 
+    # scale-free: unit columns (a zero column stays zero), and each Casimir
+    # residual relative to max(1, |lambda_j|), as the multiplicities are judged
     V = np.hstack(blocks)
-    svals = np.linalg.svd(V, compute_uv=False)
+    norms = np.linalg.norm(V, axis=0)
+    cols = V / np.where(norms > 0, norms, 1.0)
+    level = np.repeat(np.arange(N + 1), block_dims)
+    lam = qn_total * (c_tot + level)
+    worst = float((np.linalg.norm(C @ cols - cols * lam, axis=0) / np.maximum(1.0, np.abs(lam))).max(initial=0.0))
+    svals = np.linalg.svd(cols, compute_uv=False)
     cut = tols.sv_cutoff * (svals[0] if len(svals) else 1.0)
     rank = int(np.sum(svals > cut))
 
     # off-block overlaps, normalized; reported but not asserted
-    cols = V / np.linalg.norm(V, axis=0)
-    level = np.repeat(np.arange(N + 1), block_dims)
     off = np.abs(cols.T @ cols)[level[:, None] != level[None, :]].max(initial=0.0)
 
     # eigenvalue multiplicities of the Casimir on the weight space
     eigs = np.linalg.eigvalsh((C + C.T) / 2)
     mult = {}
-    for lam in eigs:
+    for ev in eigs:
         for j in range(N + 1):
-            if abs(lam - qn_total * (c_tot + j)) < tols.eigen * max(1.0, abs(lam)):
+            if abs(ev - qn_total * (c_tot + j)) < tols.eigen * max(1.0, abs(ev)):
                 mult[j] = mult.get(j, 0) + 1
                 break
 

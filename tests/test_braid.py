@@ -19,7 +19,6 @@ from braidosc.braid import (
     braid_relation_defect,
     build_matrices,
     closed_form_burau,
-    closed_form_family,
     closed_form_lkb,
     closed_form_marked_n1,
     compare_transition_formulas,
@@ -289,10 +288,10 @@ class TestLKB:
             assert inverse_defect(fam, closed_form_lkb(n, inverse=True)) == 0.0
 
     def test_family_dispatch(self, hctx3):
-        assert [m.dimension for m in closed_form_family(3, 2)] == [3, 3]
-        assert [m.dimension for m in closed_form_family(4, 1)] == [3, 3, 3]
+        assert [m.dimension for m in build_matrices(3, 2, route="closed_form")] == [3, 3]
+        assert [m.dimension for m in build_matrices(4, 1, route="closed_form")] == [3, 3, 3]
         with pytest.raises(ValueError):
-            closed_form_family(3, 3)
+            build_matrices(3, 3, route="closed_form")
 
 
 class TestMarkedLevelOne:
@@ -687,16 +686,13 @@ def _rewrite_by_sector(ctx, N, inverse, renormalize):
 def test_numeric_rewrite_matches_per_sector_loop(n):
     """The stacked numeric rewrite writes the one-sector loop's entries bit for bit."""
     for q in (0.4, 0.8, 1.3, 2.5):
-        homogeneous, *others = _label_kinds(n, q)
-        cases = [(homogeneous, None), (homogeneous, False)] + [(ctx, None) for ctx in others]
-        for ctx, renormalize in cases:
+        for ctx in _label_kinds(n, q):
             for N in range(4):
                 for inverse in (False, True):
-                    got = build_matrices(n, N, ctx=ctx, inverse=inverse, renormalize=renormalize)
-                    renorm = ctx.is_homogeneous() if renormalize is None else renormalize
-                    want = _rewrite_by_sector(ctx, N, inverse, renorm)
+                    got = build_matrices(n, N, ctx=ctx, inverse=inverse)
+                    want = _rewrite_by_sector(ctx, N, inverse, ctx.is_homogeneous())
                     for g, w in zip(got, want, strict=True):
-                        assert g.entries.tobytes() == w.tobytes(), (n, N, q, ctx.labels, renormalize, inverse)
+                        assert g.entries.tobytes() == w.tobytes(), (n, N, q, ctx.labels, inverse)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -773,6 +769,13 @@ class TestExactStorage:
         assert braid_relation_defect([edited] + f[1:]) > 0.0
         assert inverse_defect([edited] + f[1:], b) > 0.0
 
+    def test_metadata_copy_keeps_the_stored_form(self):
+        f = build_matrices(4, 2)
+        stored = vars(f[1])["entries"]
+        copy = dataclasses.replace(f[1], route="copy", entries=stored)
+        assert vars(copy)["entries"] is stored and stored._view is None
+        assert braid_relation_defect([f[0], copy, *f[2:]]) == braid_relation_defect(f) == 0.0
+
     def test_closed_forms_are_stored_like_the_rewrite(self):
         for closed, N in ((closed_form_burau, 1), (closed_form_lkb, 2)):
             for g, w in zip(build_matrices(5, N), closed(5)):
@@ -846,6 +849,15 @@ class TestNumericStorage:
                 assert total.flags.writeable
                 assert not any(np.shares_memory(total, vars(m)["entries"].blocks) for m in fwd)
 
+    @pytest.mark.parametrize("route", ["rewrite", "direct"])
+    def test_metadata_copy_keeps_the_stored_form(self, route):
+        fwd, _ = _distinct_pair(route)
+        stored = vars(fwd[1])["entries"]
+        copy = dataclasses.replace(fwd[1], solve_residual=None, entries=stored)
+        assert vars(copy)["entries"] is stored
+        assert braid_relation_defect([fwd[0], copy, *fwd[2:]]) == braid_relation_defect(fwd)
+        assert stored._dense is None
+
     def test_checks_read_blocks(self):
         # all-distinct (5,3): dense entries would be 46 MB per generator
         ctx = Context([RepLabel(0.6 + 0.2 * k, 0.3 + 0.25 * k) for k in range(5)], 0.7)
@@ -865,10 +877,10 @@ class TestRoutes:
     def test_rewrite_vs_direct(self, hctx3, mctx3):
         for ctx in (hctx3, mctx3):
             for N in (1, 2):
-                rw = build_matrices(3, N, route="rewrite", ctx=ctx, renormalize=False)
-                dr = build_matrices(3, N, route="direct", ctx=ctx, renormalize=False)
+                rw = build_matrices(3, N, route="rewrite", ctx=ctx)
+                dr = build_matrices(3, N, route="direct", ctx=ctx)
                 for a, b in zip(rw, dr):
-                    assert a.basis == b.basis
+                    assert a.basis == b.basis and a.phase == b.phase
                     scale = np.max(np.abs(a.entries))
                     assert np.max(np.abs(a.entries - b.entries)) < 1e-9 * scale
 
@@ -938,13 +950,16 @@ class TestRoutes:
             assert lmat_eq(a.entries, b.entries)
 
     def test_renormalize_moves_phase(self, hctx3):
-        kept = build_matrices(3, 1, ctx=hctx3)
-        baked = build_matrices(3, 1, ctx=hctx3, renormalize=False)
+        # homogeneous labels keep the vacuum factor in the phase; the physical
+        # matrix is the one-sector loop's with the factor in the entries
         lab = hctx3.labels[0]
-        for a, b in zip(kept, baked):
-            assert b.phase.is_trivial()
-            factor = a.phase.value(hctx3.q, lab.gamma, lab.c)
-            assert np.max(np.abs(factor * a.entries - b.entries)) < 1e-13
+        for inverse in (False, True):
+            kept = build_matrices(3, 1, ctx=hctx3, inverse=inverse)
+            baked = _rewrite_by_sector(hctx3, 1, inverse, renormalize=False)
+            for a, b in zip(kept, baked, strict=True):
+                assert not a.phase.is_trivial()
+                factor = a.phase.value(hctx3.q, lab.gamma, lab.c)
+                assert np.max(np.abs(factor * a.entries - b)) < 1e-13
 
     def test_laurent_requires_homogeneous(self, mctx3):
         with pytest.raises(Exception):
@@ -973,11 +988,10 @@ class TestRoutes:
         (lambda: evaluate_word([], [], None), "empty generator family"),
         (lambda: build_matrices(3, 1, route="closed_form", ctx=homogeneous_context(3, 1.0, 0.5, 0.6)),
          "closed forms are exact"),
-        (lambda: build_matrices(3, 1, renormalize=False), "exact backend"),
         (lambda: build_matrices(3, 1, backend="laurent", ctx=homogeneous_context(4, 1.0, 0.5, 0.6)),
          "n does not match"),
     ], ids=["backend-with-context", "backend-without-context", "word-on-empty-family",
-            "numeric-homogeneous-closed-form", "exact-without-renormalize", "exact-context-of-other-n"])
+            "numeric-homogeneous-closed-form", "exact-context-of-other-n"])
     def test_rejects_invalid_input(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

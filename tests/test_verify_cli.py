@@ -1,7 +1,9 @@
 """Verification suites and command-line behavior."""
 
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -166,6 +168,22 @@ class TestCliMatrix:
         first = capsys.readouterr().out
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == first
+
+    # md5 of stdout for outputs that no BLAS or LAPACK call rounds: exact
+    # families and words, closed forms and the elementwise numeric rewrite
+    @pytest.mark.parametrize("argv, digest", [
+        ("matrix --n 4 --N 2 --backend laurent", "00f32315edb6cb8760ef461e4a4e9312"),
+        ("matrix --n 3 --N 2 --backend laurent --route closed_form", "0ac9bf4ce4369ce4a80a7ebe29bc3879"),
+        ("matrix --n 4 --N 1 --het --route closed_form", "5fac9027a873e2cfd3ad40cfdf5129b3"),
+        ("matrix --n 4 --N 2 --labels [[0.7,0.4],[1.0,0.9],[1.4,0.5],[1.8,1.2]] --q 1.4",
+         "d60c73746adf7ef0eb6e072ff5186d34"),
+        ("matrix --n 4 --N 2 --labels [[0.7,0.4],[1.0,0.9],[1.4,0.5],[1.8,1.2]] --q 1.4 --format csv",
+         "89b93ec84086d0065c7f74d2f80c026b"),
+        ("word --n 4 --N 2 --backend laurent --word '1 -2 3'", "0466d54b36b9658dd56062ffa2791311"),
+    ])
+    def test_wire_format_pinned(self, argv, digest, capsys):
+        assert cli.main(shlex.split(argv)) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("payload", [
         {}, [], "x", 3, None, [[], {}], [["a", 1], ("b", "c")],

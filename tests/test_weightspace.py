@@ -1,7 +1,9 @@
 """Weight spaces, lowest-weight kernels, counting laws, exact nullspaces."""
 
+import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +270,40 @@ class TestDecomposition:
         assert rep.rank == rep.weight_dim == 20
         assert [rep.eigen_multiplicities.get(j, 0) for j in range(4)] == [1, 3, 6, 10]
 
+    def test_casimir_defect_relative_to_lambda_fails(self, hctx3, monkeypatch):
+        # scaling the lowering map by 1 + eps moves C u_j by eps [sum gamma]_q (N - j) u_j
+        N, tols = 3, DEFAULT_TOLS
+        qn = weightspace.q_number(hctx3.gamma_total(), hctx3.q)
+        lam = qn * (hctx3.c_total() + np.arange(N + 1))
+        eps = 10 * tols.eigen / np.max(qn * (N - np.arange(N + 1)) / np.maximum(1.0, np.abs(lam)))
+        block = weightspace._coproduct_block
+
+        def perturbed(ctx, gen, sector, j, m):
+            return block(ctx, gen, sector, j, m) * (1 + eps if gen == "a-" else 1)
+
+        monkeypatch.setattr(weightspace, "_coproduct_block", perturbed)
+        rep = verify_decomposition(hctx3, N, None, tols)
+        assert rep.casimir_residual == pytest.approx(10 * tols.eigen, rel=1e-4) and not rep.passed
+
+    @pytest.mark.parametrize("column", ["repeated", "zero"])
+    def test_dependent_column_fails_the_rank(self, hctx3, monkeypatch, column):
+        monomials = weightspace.lowest_weight_monomials
+
+        def edited(ctx, j, sector, tols):
+            lw = monomials(ctx, j, sector, tols)
+            if j == 3:
+                blocks = lw.blocks.copy()
+                blocks[0][:, -1] = blocks[0][:, 0] if column == "repeated" else 0.0
+                lw = dataclasses.replace(lw, blocks=blocks)
+            return lw
+
+        monkeypatch.setattr(weightspace, "lowest_weight_monomials", edited)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_decomposition(hctx3, 3, None, DEFAULT_TOLS)
+        assert rep.rank == rep.weight_dim - 1 == 9 and rep.casimir_residual < DEFAULT_TOLS.eigen
+        assert rep.block_dims == rep.expected_block_dims and not rep.passed
+
 
 class TestManySlots:
     """Levels with (N + 1)**(n - 1) > 2**63, where a row's code in base N + 1 leaves int64."""
@@ -278,10 +314,11 @@ class TestManySlots:
         assert lw.coords.shape == (weight_dimension(41, 2), lowest_weight_dimension(41, 2))
 
     def test_decomposition_block_dims(self):
-        # passed stays False: the Casimir residual is above 1e-8 from about n = 30
+        # the residual relative to max(1, |lambda_j|) and the rank of the unit
+        # columns stay at rounding level; unscaled, both failed from about n = 30
         rep = verify_decomposition(homogeneous_context(41, 1.0, 0.5, 0.6), 2)
         assert rep.block_dims == rep.expected_block_dims == [1, 40, 820]
-        assert rep.rank == rep.weight_dim == 861
+        assert rep.rank == rep.weight_dim == 861 and rep.passed
 
 
 class TestExactKernel:
