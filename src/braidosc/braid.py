@@ -22,8 +22,9 @@ matrices, computed here by two deliberately independent routes:
 
 Each sigma_i maps every sector into exactly one other, so a numeric matrix
 is stored as the sector blocks both routes compute and their target sectors
-(_BlockMatrix), an exact one as integer triplets (_ExactMatrix); each
-stored form gives its own view, wire form, identity, product and comparison.
+(_BlockMatrix), an exact one as integer triplets (_ExactMatrix) that answer
+their own Laurent rows; each stored form gives its own view, wire form,
+identity, product and comparison.
 
 Closed-form families (reduced Burau for level 1, a Lawrence-Krammer-Bigelow
 style family for level 2, and the one-marked-slot level-1 family) are
@@ -290,9 +291,9 @@ def _exchange_factors(ctx, targets, i, inverse):
 class BraidMatrix:
     """One braid generator on a lowest-weight space, with basis metadata.
 
-    ``entries`` is a read-only view, built on first read, of the stored
-    form: a float array over sector blocks (numeric, _BlockMatrix) or
-    nested Laurent rows over integer triplets (exact, _ExactMatrix).
+    ``entries`` reads the stored form: a read-only float array over sector
+    blocks (numeric, _BlockMatrix), built on first read, or the integer
+    triplets themselves (exact, _ExactMatrix), read as Laurent rows.
     Columns are indexed by ``basis`` in the recorded order, and the
     physical generator is phase * entries.  Entries given to the
     constructor (directly, or through ``dataclasses.replace``) become the
@@ -583,7 +584,7 @@ def closed_form_lkb(n, inverse=False):
     return mats
 
 
-def _marked_case_images(i, k, j, n, d):
+def _marked_case_images(i, k, j, d):
     """Closed-form image of sigma_i on w_k^{(j)}, one marked slot.
 
     d holds the numeric parameter pack (see closed_form_marked_n1);
@@ -672,7 +673,7 @@ def closed_form_marked_n1(ctx, inverse=False):
         entries = np.zeros((len(basis), len(basis)))
         for j, col in start.items():
             for k in range(1, n):
-                for (k2, j2), val in _marked_case_images(i, k, j, n, pack).items():
+                for (k2, j2), val in _marked_case_images(i, k, j, pack).items():
                     entries[start[j2] + k2 - 1, col + k - 1] = float(val)
         mats.append(BraidMatrix(
             generator=i, inverse=inverse, n=n, N=1, route="closed_form", backend="numeric", basis=basis,
@@ -786,17 +787,20 @@ def pair_basis_change(n, s):
 # exact matrix algebra, relations, words
 
 class _ExactMatrix:
-    """Integer Laurent matrix as canonical sorted triplets.
+    """Integer Laurent matrix as canonical sorted triplets, read as Laurent rows.
 
     ``k``, ``r``, ``c`` and ``v`` are int64 arrays of exponent, row,
     column and nonzero coefficient of each term, ordered by (k, r, c)
-    with no duplicates, so equal matrices have equal arrays.
+    with no duplicates, so equal matrices have equal arrays.  Indexing and
+    iteration give tuple rows of Laurent entries, built on first read and
+    kept.  Two matrices compare by their triplets, a matrix and nested
+    lists entry by entry.
     """
 
-    __slots__ = ("shape", "k", "r", "c", "v", "_view")
+    __slots__ = ("shape", "k", "r", "c", "v", "_rows")
 
     def __init__(self, shape, k, r, c, v):
-        self.shape, self._view = shape, None
+        self.shape, self._rows = shape, None
         if len(v):
             # canonical order: sort on one integer key, sum equal keys, drop zeros
             rows, cols = shape
@@ -827,10 +831,25 @@ class _ExactMatrix:
         return cls(shape, *arr.T.copy())
 
     def view(self):
-        """The read-only Laurent rows, a _LaurentView made on first read and kept."""
-        if self._view is None:
-            self._view = _LaurentView(self)
-        return self._view
+        """The matrix itself: it answers its own read-only Laurent rows."""
+        return self
+
+    def _built(self):
+        if self._rows is None:
+            self._rows = tuple(map(tuple, self.to_laurent()))
+        return self._rows
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __repr__(self):
+        return repr([list(row) for row in self])
 
     def to_json(self):
         # zeros share one object; triplets run by exponent, so each entry's terms come in Laurent.to_json order
@@ -872,6 +891,10 @@ class _ExactMatrix:
         )
 
     def __eq__(self, other):
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(a == tuple(b) for a, b in zip(self, other))
+        if not isinstance(other, _ExactMatrix):
+            return NotImplemented
         mine, theirs = (self.k, self.r, self.c, self.v), (other.k, other.r, other.c, other.v)
         return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
 
@@ -908,50 +931,9 @@ class _ExactMatrix:
         return out
 
 
-class _LaurentView:
-    """Read-only nested rows of Laurent entries over a stored _ExactMatrix.
-
-    Rows are tuples, built on first read and kept.  Two views compare by
-    their triplets, a view and nested lists entry by entry.
-    """
-
-    __slots__ = ("matrix", "_rows")
-
-    def __init__(self, matrix):
-        self.matrix, self._rows = matrix, None
-
-    def _built(self):
-        if self._rows is None:
-            self._rows = tuple(map(tuple, self.matrix.to_laurent()))
-        return self._rows
-
-    def __len__(self):
-        return self.matrix.shape[0]
-
-    def __getitem__(self, i):
-        return self._built()[i]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __eq__(self, other):
-        if isinstance(other, _LaurentView):
-            return self.matrix == other.matrix
-        if not isinstance(other, (list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == tuple(b) for a, b in zip(self, other))
-
-    def __repr__(self):
-        return repr([list(row) for row in self])
-
-
 def _exact(entries):
-    """The _ExactMatrix behind a view, or one read from nested Laurent lists."""
-    if isinstance(entries, _LaurentView):
-        return entries.matrix
-    if isinstance(entries, _ExactMatrix):
-        return entries
-    return _ExactMatrix.from_laurent(entries)
+    """An _ExactMatrix as is, or one read from nested Laurent lists."""
+    return entries if isinstance(entries, _ExactMatrix) else _ExactMatrix.from_laurent(entries)
 
 
 class _BlockMatrix:
@@ -1017,12 +999,12 @@ def _operand(mat):
 
 
 def lmat_mul(A, B):
-    """Product of two exact matrices, each a view or nested Laurent lists."""
+    """Product of two exact matrices, each an _ExactMatrix or nested Laurent lists."""
     return (_exact(A) @ _exact(B)).to_laurent()
 
 
 def lmat_eq(A, B):
-    """Entrywise equality; two views compare by their triplets."""
+    """Entrywise equality; two _ExactMatrix compare by their triplets."""
     return A == B
 
 

@@ -129,8 +129,8 @@ def cmd_matrix(args):
     lines = []
     for m in mats:
         lines.append("# generator %d" % m.generator)
-        for row in m.entries:
-            lines.append(",".join(repr(float(v)) for v in row))
+        # the wire form's strings, read from the stored blocks: no dense copy
+        lines.extend(",".join(row) for row in m.entries_json())
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

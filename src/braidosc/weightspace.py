@@ -217,13 +217,6 @@ def _coproduct_block(ctx, gen, sector, N, M):
     return _operator_block(lambda s, occ: _coproduct_terms(ctx, gen, s, occ), np.array([sector]), dom, cod)[1][0]
 
 
-def lowering_matrix(ctx, N, sector=None):
-    """Coproduct lowering operator as a matrix W_N -> W_{N-1}."""
-    _check_size("N", N, 1)
-    dom, cod = weight_basis(ctx, N, sector), weight_basis(ctx, N - 1, sector)
-    return _coproduct_block(ctx, "a-", dom.sector, N, N - 1), dom, cod
-
-
 @dataclass
 class LowestWeightBasis:
     """Basis of the lowest-weight subspace at one level, one block per sector.

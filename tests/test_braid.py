@@ -549,7 +549,7 @@ def test_many_slots_rewrite_on_both_backends(n):
     numeric = build_matrices(n, 1, ctx=homogeneous_context(n, 1.0, 0.5, 0.6))
     for e, m in zip(exact, numeric):
         assert e.phase == m.phase
-        assert np.max(np.abs(e.entries.matrix.at(0.6 ** -1.0) - m.entries)) < 1e-12
+        assert np.max(np.abs(e.entries.at(0.6 ** -1.0) - m.entries)) < 1e-12
 
 
 def test_many_slots_direct_matches_rewrite():
@@ -716,7 +716,7 @@ def test_direct_matches_rewrite_all_distinct(n, N, q, labels, inverse):
 
 
 class TestExactStorage:
-    """Exact entries are a read-only view of the stored triplets."""
+    """Exact entries are the stored triplets, read as Laurent rows."""
 
     @staticmethod
     def _families():
@@ -724,6 +724,15 @@ class TestExactStorage:
             for N in range(5):
                 for inverse in (False, True):
                     yield build_matrices(n, N, inverse=inverse)
+
+    def test_entries_are_the_stored_matrix(self):
+        for fam in self._families():
+            for m in fam:
+                assert m.entries is vars(m)["entries"] and isinstance(m.entries, _ExactMatrix)
+                assert dataclasses.replace(m).entries is vars(m)["entries"]
+        # another type is unequal, not an error
+        for other in (3, None, "x", {}):
+            assert (m.entries == other) is False and (m.entries != other) is True
 
     def test_rows_reject_item_assignment(self):
         m = build_matrices(3, 2)[0]
@@ -735,10 +744,11 @@ class TestExactStorage:
     def test_view_matches_stored_matrix(self):
         for fam in self._families():
             for m in fam:
-                lists = m.entries.matrix.to_laurent()
+                lists = m.entries.to_laurent()
                 assert m.entries == lists and lists == m.entries
                 assert lmat_eq(lists, m.entries)
-                assert _ExactMatrix.from_laurent(m.entries) == m.entries.matrix
+                assert _ExactMatrix.from_laurent(m.entries) == m.entries
+                assert repr(m.entries) == repr(lists)
                 assert m.entries_json() == [[e.to_json() for e in row] for row in lists]
 
     def test_checks_and_export_read_triplets(self):
@@ -763,7 +773,7 @@ class TestExactStorage:
         lists[1][0] = lists[1][0] + Laurent.x(-2, 3)
         edited = rebuild(f[0], lists)
         assert edited.entries == lists and edited.entries != f[0].entries
-        assert edited.entries.matrix == _ExactMatrix.from_laurent(lists)
+        assert edited.entries == _ExactMatrix.from_laurent(lists)
         assert edited.to_json()["entries"][1][0] == lists[1][0].to_json()
         assert braid_relation_defect(f) == inverse_defect(f, b) == 0.0
         assert braid_relation_defect([edited] + f[1:]) > 0.0
@@ -773,13 +783,13 @@ class TestExactStorage:
         f = build_matrices(4, 2)
         stored = vars(f[1])["entries"]
         copy = dataclasses.replace(f[1], route="copy", entries=stored)
-        assert vars(copy)["entries"] is stored and stored._view is None
+        assert vars(copy)["entries"] is stored and stored._rows is None
         assert braid_relation_defect([f[0], copy, *f[2:]]) == braid_relation_defect(f) == 0.0
 
     def test_closed_forms_are_stored_like_the_rewrite(self):
         for closed, N in ((closed_form_burau, 1), (closed_form_lkb, 2)):
             for g, w in zip(build_matrices(5, N), closed(5)):
-                assert g.entries.matrix == w.entries.matrix
+                assert g.entries == w.entries
 
     def test_word_product_is_the_stored_form_of_evaluate_word(self):
         f = build_matrices(4, 2)

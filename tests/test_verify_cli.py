@@ -179,11 +179,25 @@ class TestCliMatrix:
          "d60c73746adf7ef0eb6e072ff5186d34"),
         ("matrix --n 4 --N 2 --labels [[0.7,0.4],[1.0,0.9],[1.4,0.5],[1.8,1.2]] --q 1.4 --format csv",
          "89b93ec84086d0065c7f74d2f80c026b"),
+        ("matrix --n 4 --N 2 --format csv", "d8c18dc9fdbf2a8d5ac7d8aeede9aa29"),
         ("word --n 4 --N 2 --backend laurent --word '1 -2 3'", "0466d54b36b9658dd56062ffa2791311"),
     ])
     def test_wire_format_pinned(self, argv, digest, capsys):
         assert cli.main(shlex.split(argv)) == 0
         assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        "matrix --n 4 --N 2 --format csv",
+        "matrix --n 4 --N 2 --labels [[0.7,0.4],[1.0,0.9],[1.4,0.5],[1.8,1.2]] --q 1.4 --format csv",
+    ])
+    def test_csv_reads_the_stored_blocks(self, argv, monkeypatch, capsys):
+        # a dense view would hold a copy of every generator beside its blocks
+        def no_view(self):
+            raise AssertionError("csv export built a dense view")
+
+        monkeypatch.setattr(braid._BlockMatrix, "view", no_view)
+        assert cli.main(shlex.split(argv)) == 0
+        assert capsys.readouterr().out.count("# generator") == 3
 
     @pytest.mark.parametrize("payload", [
         {}, [], "x", 3, None, [[], {}], [["a", 1], ("b", "c")],

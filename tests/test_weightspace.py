@@ -29,6 +29,7 @@ from braidosc.weightspace import (
     lowest_weight_kernel_exact,
     lowest_weight_monomials,
     monomial_exponents,
+    operator_matrix,
     span_residual,
     verify_decomposition,
     weight_basis,
@@ -426,9 +427,8 @@ class TestExactKernel:
 
 
 def _lowering(ctx, N):
-    from braidosc.weightspace import lowering_matrix
-
-    return lowering_matrix(ctx, N)
+    dom, cod = weight_basis(ctx, N), weight_basis(ctx, N - 1)
+    return operator_matrix(lambda v: apply_coproduct("a-", v), dom, cod), dom, cod
 
 
 def _rescale(ctx, occ):
