@@ -13,22 +13,26 @@ The direct ladder is all-distinct (5,3), (5,4), (6,1), (6,2), (7,1),
 the same all-distinct rungs, then homogeneous (8,5) and (10,5).  Each
 exact or numeric rung runs in a fresh process with one BLAS thread and
 times the forward build, the inverse build, ``braid_relation_defect`` on
-the forward family, ``inverse_defect`` and ``family_to_json`` of the
-forward family.  ``peak_rss_mb`` is read after the checks and
-``export_peak_rss_mb`` after the export.  ``d`` is the matrix dimension:
-sectors times C(n+N-2, N).  A kernel rung is "n,N" too; it times
-``lowest_weight_kernel_exact``, and the kernel ladder is (6,4), (6,5),
-(3,40), (2,70).  The last line of output is one JSON object.
+the forward family, ``inverse_defect``, on exact rungs one read of every
+Laurent row of the forward family (``rows_s``), and ``family_to_json`` of
+the forward family.  ``peak_rss_mb`` is read after the checks,
+``rows_peak_rss_mb`` after the row read and ``export_peak_rss_mb`` after
+the export.  ``d`` is the matrix dimension: sectors times C(n+N-2, N).
+A kernel rung is "n,N" too; it times ``lowest_weight_kernel_exact``, and
+the kernel ladder is (6,4), (6,5), (3,40), (2,70).  The last line of
+output is one JSON object.
 
 Guards: the ladder stops after the first rung that takes longer than
 ``--budget`` seconds (that rung is killed at the budget).  Before a rung
 starts, its footprint is predicted at 8 bytes per list slot or float:
-(n-1) d**2 slots for the export; for the two numeric builds, (n-1)
-sectors C(n+N-2, N)**2 floats each when the checkout stores sector blocks,
-else (n-1) d**2 (exact builds store triplets, counted as nothing); for a
-kernel, one slot per weight state of each kernel vector.  A rung whose
-builds alone pass ``--mem-cap`` is skipped, and a rung whose export would
-pass it runs without the export; nothing of either is allocated.
+(n-1) d**2 slots for the export, and as many again for the row read (a
+checkout may keep the rows through the export); for the two numeric
+builds, (n-1) sectors C(n+N-2, N)**2 floats each when the checkout
+stores sector blocks, else (n-1) d**2 (exact builds store triplets,
+counted as nothing); for a kernel, one slot per weight state of each
+kernel vector.  A rung whose builds alone pass ``--mem-cap`` is skipped,
+and a rung whose row read, or then its export, would pass it runs without
+that stage; nothing of a skipped stage is allocated.
 ``--src`` measures another checkout's ``src/``, with the footprint that
 checkout stores.
 """
@@ -98,7 +102,7 @@ def family_builder(n, labels, route):
     return lambda N, inverse: build_matrices(n, N, route=route, ctx=ctx, inverse=inverse)
 
 
-def run_rung(n, N, labels, route, export):
+def run_rung(n, N, labels, route, export, rows):
     """Time one rung in this process; returns its JSON record."""
     from braidosc import braid_relation_defect, family_to_json, inverse_defect, lowest_weight_kernel_exact
 
@@ -120,6 +124,12 @@ def run_rung(n, N, labels, route, export):
     t4 = time.perf_counter()
     out.update(build_s=t1 - t0, build_inverse_s=t2 - t1, relations_s=t3 - t2, inverse_s=t4 - t3,
                relation_defect=relation, inverse_defect=inverse, peak_rss_mb=peak_rss_mb())
+    if rows:
+        t5 = time.perf_counter()
+        for m in fwd:
+            for _ in m.entries:
+                pass
+        out.update(rows_s=time.perf_counter() - t5, rows_peak_rss_mb=peak_rss_mb())
     if export:
         del inv
         t5 = time.perf_counter()
@@ -145,10 +155,12 @@ def main(argv=None):
     p.add_argument("--src", default=SRC, help="src/ directory of the checkout to measure")
     p.add_argument("--rung", help=argparse.SUPPRESS)
     p.add_argument("--no-export", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--no-rows", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     if args.rung:
-        print(json.dumps(run_rung(*parse_rung(args.rung), args.ladder, export=not args.no_export)))
+        rows = args.ladder == "exact" and not args.no_rows
+        print(json.dumps(run_rung(*parse_rung(args.rung), args.ladder, export=not args.no_export, rows=rows)))
         return 0
 
     sizes = args.sizes or LADDERS[args.ladder]
@@ -161,7 +173,9 @@ def main(argv=None):
               "rungs": []}
     for size, (n, N, labels) in zip(sizes, rungs):
         build_bytes, export_bytes = footprint(args.ladder, n, N, labels, blocks)
-        rung = {"n": n, "N": N, "d": dimension(n, N, labels), "predicted_gb": (build_bytes + export_bytes) / 2 ** 30}
+        rows_bytes = export_bytes if args.ladder == "exact" else 0
+        rung = {"n": n, "N": N, "d": dimension(n, N, labels),
+                "predicted_gb": (build_bytes + rows_bytes + export_bytes) / 2 ** 30}
         if labels:
             rung["labels"] = labels
         if build_bytes > cap:
@@ -169,7 +183,11 @@ def main(argv=None):
             report["rungs"].append(rung)
             continue
         cmd = [sys.executable, os.path.abspath(__file__), "--src", args.src, "--ladder", args.ladder, "--rung", size]
-        if build_bytes + export_bytes > cap:
+        if build_bytes + rows_bytes > cap:
+            cmd.append("--no-rows")
+            rung["rows_skipped"] = "row read needs %.1f GB" % (rows_bytes / 2 ** 30)
+            rows_bytes = 0
+        if build_bytes + rows_bytes + export_bytes > cap:
             cmd.append("--no-export")
             rung["export_skipped"] = "export needs %.1f GB" % (export_bytes / 2 ** 30)
         t0 = time.perf_counter()

@@ -293,7 +293,7 @@ class BraidMatrix:
 
     ``entries`` reads the stored form: a read-only float array over sector
     blocks (numeric, _BlockMatrix), built on first read, or the integer
-    triplets themselves (exact, _ExactMatrix), read as Laurent rows.
+    triplets (exact, _ExactMatrix), read as Laurent rows built on each read.
     Columns are indexed by ``basis`` in the recorded order, and the
     physical generator is phase * entries.  Entries given to the
     constructor (directly, or through ``dataclasses.replace``) become the
@@ -789,32 +789,32 @@ def pair_basis_change(n, s):
 class _ExactMatrix:
     """Integer Laurent matrix as canonical sorted triplets, read as Laurent rows.
 
-    ``k``, ``r``, ``c`` and ``v`` are int64 arrays of exponent, row,
-    column and nonzero coefficient of each term, ordered by (k, r, c)
-    with no duplicates, so equal matrices have equal arrays.  Indexing and
-    iteration give tuple rows of Laurent entries, built on first read and
-    kept.  Two matrices compare by their triplets, a matrix and nested
-    lists entry by entry.
+    ``k``, ``r``, ``c`` and ``v`` are int64 arrays of exponent, row, column
+    and nonzero coefficient of each term, sorted by (r, c, k) with no
+    duplicates: equal matrices have equal arrays, and each row is one run.
+    Indexing and iteration build tuple rows of Laurent entries from their
+    runs on each read and keep none, so hold a row to read entry by entry.
+    Two matrices compare by their triplets, a matrix and lists entry by entry.
     """
 
-    __slots__ = ("shape", "k", "r", "c", "v", "_rows")
+    __slots__ = ("shape", "k", "r", "c", "v")
 
     def __init__(self, shape, k, r, c, v):
-        self.shape, self._rows = shape, None
+        self.shape = shape
         if len(v):
             # canonical order: sort on one integer key, sum equal keys, drop zeros
-            rows, cols = shape
+            cols = shape[1]
             kmin = int(k.min())
-            key = ((k - kmin) * rows + r) * cols + c
+            span = int(k.max()) - kmin + 1
+            key = (r * cols + c) * span + (k - kmin)
             order = np.argsort(key, kind="stable")
             key, v = key[order], v[order]
             first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
             key, v = key[first], np.add.reduceat(v, first)
             keep = v != 0
             key, v = key[keep], v[keep]
-            rc, c = np.divmod(key, cols)
-            k, r = np.divmod(rc, rows)
-            k = k + kmin
+            r, c = np.divmod(key // span, cols)
+            k = key % span + kmin
         self.k, self.r, self.c, self.v = k, r, c, v
 
     @classmethod
@@ -834,25 +834,37 @@ class _ExactMatrix:
         """The matrix itself: it answers its own read-only Laurent rows."""
         return self
 
-    def _built(self):
-        if self._rows is None:
-            self._rows = tuple(map(tuple, self.to_laurent()))
-        return self._rows
+    def _rows(self, rows):
+        """Tuple Laurent rows for the row indices ``rows``, each built from its run of terms."""
+        los, his = (np.searchsorted(self.r, rows, side).tolist() for side in ("left", "right"))
+        start = min(los, default=0)
+        c, k, v = (a[start:max(his, default=0)].tolist() for a in (self.c, self.k, self.v))
+        coeff = {x: Fraction(x) for x in set(v)}
+        terms = list(zip(c, k, map(coeff.get, v)))
+        for lo, hi in zip(los, his):
+            out = [L_ZERO] * self.shape[1]
+            for j, e, x in terms[lo - start:hi - start]:
+                if out[j] is L_ZERO:
+                    out[j] = Laurent.__new__(Laurent)
+                    out[j].terms = {}
+                out[j].terms[e] = x
+            yield tuple(out)
 
     def __len__(self):
         return self.shape[0]
 
     def __getitem__(self, i):
-        return self._built()[i]
+        rows = range(self.shape[0])[i]
+        return tuple(self._rows(rows)) if isinstance(i, slice) else next(self._rows([rows]))
 
     def __iter__(self):
-        return iter(self._built())
+        return self._rows(range(self.shape[0]))
 
     def __repr__(self):
-        return repr([list(row) for row in self])
+        return repr(self.to_laurent())
 
     def to_json(self):
-        # zeros share one object; triplets run by exponent, so each entry's terms come in Laurent.to_json order
+        # zeros share one object; the triplets run by (r, c, k), so each entry's terms come in Laurent.to_json order
         terms = {}
         for k, r, c, v in zip(self.k.tolist(), self.r.tolist(), self.c.tolist(), self.v.tolist()):
             terms.setdefault((r, c), []).append([k, str(v)])
@@ -874,14 +886,11 @@ class _ExactMatrix:
         bound = sum(map(abs, self.v.tolist())) * max(map(abs, other.v.tolist()), default=0)
         if bound >= 2 ** 63:
             raise OverflowError("exact matrix product could exceed int64 coefficients")
-        # join self's columns with other's rows
-        order = np.argsort(other.r, kind="stable")
-        lo = np.searchsorted(other.r[order], self.c, "left")
-        hi = np.searchsorted(other.r[order], self.c, "right")
-        count = hi - lo
+        # join self's columns with other's rows, each one sorted run
+        lo = np.searchsorted(other.r, self.c, "left")
+        count = np.searchsorted(other.r, self.c, "right") - lo
         ia = np.repeat(np.arange(len(self.v)), count)
-        start = np.repeat(lo - (np.cumsum(count) - count), count)
-        ib = order[start + np.arange(len(ia))]
+        ib = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(len(ia))
         return _ExactMatrix(
             (rows, cols),
             self.k[ia] + other.k[ib],
@@ -918,17 +927,7 @@ class _ExactMatrix:
         return np.bincount(self.r * cols + self.c, vals, rows * cols).reshape(rows, cols)
 
     def to_laurent(self):
-        rows, cols = self.shape
-        # one Fraction per distinct coefficient: the canonical terms need no checks
-        coeff = {v: Fraction(v) for v in set(self.v.tolist())}
-        terms = {}
-        for k, r, c, v in zip(self.k.tolist(), self.r.tolist(), self.c.tolist(), self.v.tolist()):
-            terms.setdefault((r, c), {})[k] = coeff[v]
-        out = [[L_ZERO] * cols for _ in range(rows)]
-        for (r, c), t in terms.items():
-            out[r][c] = lp = Laurent.__new__(Laurent)
-            lp.terms = t
-        return out
+        return list(map(list, self))
 
 
 def _exact(entries):

@@ -411,7 +411,7 @@ def check_burau_family(n_max=6):
                 detail = {"n": n, "generator": a.generator, "stage": "rewrite-vs-closed"}
         ref = reduced_burau_reference(n)
         for k in range(1, n):
-            A_w = cf[k - 1].entries
+            A_w = cf[k - 1].entries.to_laurent()
             d = n - 1
             A_b = [[L_ZERO] * d for _ in range(d)]
             for lp in range(1, n):
@@ -442,7 +442,7 @@ def check_lkb_family(n_max=5):
     }
     cf3 = closed_form_lkb(3)
     for g in (1, 2):
-        ours = cf3[g - 1].entries
+        ours = cf3[g - 1].entries.to_laurent()
         if not all(printed[g][r][c] == ours[c][r] for r in range(3) for c in range(3)):
             ok = False
             detail = {"n": 3, "generator": g, "stage": "printed-fixture"}

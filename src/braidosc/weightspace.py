@@ -98,20 +98,21 @@ def weight_basis(ctx, N, sector=None):
 
 
 def coordinates(vec, basis):
-    """Dense coordinate array of a vector over a state list."""
-    idx = basis.index() if isinstance(basis, WeightSpaceBasis) else {s: i for i, s in enumerate(basis)}
-    out = np.zeros(len(idx))
-    for st, co in vec.terms.items():
-        try:
-            out[idx[st]] = float(co)
-        except KeyError:
-            raise BraidoscError("vector has support outside the basis: %r" % (st,))
-    return out
+    """Dense coordinate array of a vector over a basis or a state list."""
+    return _coordinate_matrix([vec], basis)[:, 0]
 
 
 def _coordinate_matrix(vectors, basis):
     """Coordinates of the vectors as the columns of a len(basis) x len(vectors) array."""
-    return np.array([coordinates(v, basis) for v in vectors]).reshape(len(vectors), len(basis)).T
+    idx = basis.index() if isinstance(basis, WeightSpaceBasis) else {s: i for i, s in enumerate(basis)}
+    out = np.zeros((len(vectors), len(idx)))
+    for row, vec in zip(out, vectors):
+        for st, co in vec.terms.items():
+            try:
+                row[idx[st]] = float(co)
+            except KeyError:
+                raise BraidoscError("vector has support outside the basis: %r" % (st,))
+    return out.T
 
 
 def from_coordinates(ctx, coords, basis):

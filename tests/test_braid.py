@@ -751,16 +751,70 @@ class TestExactStorage:
                 assert repr(m.entries) == repr(lists)
                 assert m.entries_json() == [[e.to_json() for e in row] for row in lists]
 
-    def test_checks_and_export_read_triplets(self):
+    def test_rows_are_read_on_demand(self):
+        for fam in self._families():
+            for m in fam:
+                rows, d = m.entries.to_laurent(), m.dimension
+                assert [list(row) for row in m.entries] == rows
+                assert [list(m.entries[i]) for i in range(d)] == rows
+                assert list(m.entries[-1]) == rows[-1] and list(m.entries[-d]) == rows[0]
+                assert [list(row) for row in m.entries[1:3]] == rows[1:3]
+                assert [list(row) for row in m.entries[::-2]] == rows[::-2]
+                for i in (d, -d - 1):
+                    with pytest.raises(IndexError):
+                        m.entries[i]
+                with pytest.raises(TypeError):
+                    m.entries[0] = rows[0]
+
+    def test_reading_rows_keeps_nothing(self):
+        # exact (8,4), d = 210: rows kept after the read would hold 3.2 MB
+        fam = build_matrices(8, 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in fam:
+                for row in m.entries:
+                    assert len(row) == 210
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.25 * 2 ** 20
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        raw=st.lists(st.tuples(*[st.integers(-3, 3)] * 4), max_size=30),
+    )
+    def test_constructor_sums_and_sorts_terms(self, shape, raw):
+        """Duplicate keys are summed and zeros dropped; the triplets run
+        strictly increasing in (r, c, k) and keep the matrix's value."""
+        terms = [(k, r % shape[0], c % shape[1], v) for k, r, c, v in raw]
+        m = _ExactMatrix(shape, *np.array(terms, np.int64).reshape(-1, 4).T)
+        keys = list(zip(m.r.tolist(), m.c.tolist(), m.k.tolist()))
+        assert all(a < b for a, b in zip(keys, keys[1:])) and np.all(m.v != 0)
+        for x in (2.0, 0.5, -1.0):
+            dense = np.zeros(shape)
+            for k, r, c, v in terms:
+                dense[r, c] += v * x ** k
+            assert np.array_equal(m.at(x), dense)
+
+    @staticmethod
+    def _forbid_rows(monkeypatch):
+        def no_rows(self, rows):
+            raise AssertionError("built Laurent rows")
+
+        monkeypatch.setattr(_ExactMatrix, "_rows", no_rows)
+
+    def test_checks_and_export_read_triplets(self, monkeypatch):
         f = build_matrices(4, 2)
         b = build_matrices(4, 2, inverse=True)
+        assert f[0].entries != [list(row) for row in f[1].entries]
+        # no check, comparison or export builds a Laurent row
+        self._forbid_rows(monkeypatch)
         assert lmat_eq(f[0].entries, dataclasses.replace(f[0]).entries)
         assert not lmat_eq(f[0].entries, f[1].entries)
         assert braid_relation_defect(f) == inverse_defect(f, b) == 0.0
         family_to_json(f)
-        # no view built its Laurent rows
-        assert all(m.entries._rows is None for m in f + b)
-        assert f[0].entries != [list(row) for row in f[1].entries]
 
     @pytest.mark.parametrize("rebuild", [
         lambda m, lists: dataclasses.replace(m, entries=lists),
@@ -779,11 +833,12 @@ class TestExactStorage:
         assert braid_relation_defect([edited] + f[1:]) > 0.0
         assert inverse_defect([edited] + f[1:], b) > 0.0
 
-    def test_metadata_copy_keeps_the_stored_form(self):
+    def test_metadata_copy_keeps_the_stored_form(self, monkeypatch):
         f = build_matrices(4, 2)
         stored = vars(f[1])["entries"]
+        self._forbid_rows(monkeypatch)
         copy = dataclasses.replace(f[1], route="copy", entries=stored)
-        assert vars(copy)["entries"] is stored and stored._rows is None
+        assert vars(copy)["entries"] is stored
         assert braid_relation_defect([f[0], copy, *f[2:]]) == braid_relation_defect(f) == 0.0
 
     def test_closed_forms_are_stored_like_the_rewrite(self):

@@ -16,14 +16,24 @@ def _ladder(*args):
 def test_one_rung_reports_every_stage():
     (rung,) = _ladder("--sizes", "4,2")["rungs"]
     assert rung["d"] == 6 and rung["relation_defect"] == rung["inverse_defect"] == 0.0
-    for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "to_json_s", "peak_rss_mb"):
+    for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "rows_s", "to_json_s",
+                "peak_rss_mb", "rows_peak_rss_mb", "export_peak_rss_mb"):
         assert rung[key] >= 0.0
 
 
 def test_memory_cap_skips_the_export():
     (rung,) = _ladder("--sizes", "4,2", "--mem-cap", "1e-9")["rungs"]
+    assert "rows_skipped" in rung and "rows_s" not in rung and "rows_peak_rss_mb" not in rung
     assert "export_skipped" in rung and "to_json_s" not in rung
     assert rung["relation_defect"] == 0.0
+
+
+def test_memory_cap_counts_the_rows_through_the_export():
+    # (4,2): the row read and the export are predicted at 864 bytes each;
+    # 1e-6 GB, about 1074 bytes, holds one of them, not both
+    (rung,) = _ladder("--sizes", "4,2", "--mem-cap", "1e-6")["rungs"]
+    assert "rows_skipped" not in rung and rung["rows_s"] >= 0.0
+    assert "export_skipped" in rung and "to_json_s" not in rung
 
 
 def test_budget_stops_the_ladder():
@@ -37,6 +47,8 @@ def test_direct_rung_runs():
     assert rung["relation_defect"] < 1e-12 and rung["inverse_defect"] < 1e-12
     for key in ("build_s", "build_inverse_s", "relations_s", "inverse_s", "to_json_s", "peak_rss_mb"):
         assert rung[key] >= 0.0
+    # the row read is a stage of exact rungs only
+    assert "rows_s" not in rung and "rows_skipped" not in rung
 
 
 def test_rewrite_rung_runs():
