@@ -13,9 +13,10 @@ The direct ladder is all-distinct (5,3), (5,4), (6,1), (6,2), (7,1),
 the same all-distinct rungs, then homogeneous (8,5) and (10,5).  Each
 exact or numeric rung runs in a fresh process with one BLAS thread and
 times the forward build, the inverse build, ``braid_relation_defect`` on
-the forward family, ``inverse_defect``, on exact rungs one read of every
-Laurent row of the forward family (``rows_s``), and ``family_to_json`` of
-the forward family.  ``peak_rss_mb`` is read after the checks,
+the forward family, ``inverse_defect``, one read of every row of every
+forward generator (``rows_s``: Laurent rows on exact rungs, one dense
+``entries`` array per generator on numeric rungs), and ``family_to_json``
+of the forward family.  ``peak_rss_mb`` is read after the checks,
 ``rows_peak_rss_mb`` after the row read and ``export_peak_rss_mb`` after
 the export.  ``d`` is the matrix dimension: sectors times C(n+N-2, N).
 A kernel rung is "n,N" too; it times ``lowest_weight_kernel_exact``, and
@@ -26,10 +27,10 @@ Guards: the ladder stops after the first rung that takes longer than
 ``--budget`` seconds (that rung is killed at the budget).  Before a rung
 starts, its footprint is predicted at 8 bytes per list slot or float:
 (n-1) d**2 slots for the export, and as many again for the row read (a
-checkout may keep the rows through the export); for the two numeric
-builds, (n-1) sectors C(n+N-2, N)**2 floats each when the checkout
-stores sector blocks, else (n-1) d**2 (exact builds store triplets,
-counted as nothing); for a kernel, one slot per weight state of each
+checkout may keep the rows or dense arrays through the export); for the
+two numeric builds, (n-1) sectors C(n+N-2, N)**2 floats each when the
+checkout stores sector blocks, else (n-1) d**2 (exact builds store
+triplets, counted as nothing); for a kernel, one slot per weight state of each
 kernel vector.  A rung whose builds alone pass ``--mem-cap`` is skipped,
 and a rung whose row read, or then its export, would pass it runs without
 that stage; nothing of a skipped stage is allocated.
@@ -159,8 +160,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     if args.rung:
-        rows = args.ladder == "exact" and not args.no_rows
-        print(json.dumps(run_rung(*parse_rung(args.rung), args.ladder, export=not args.no_export, rows=rows)))
+        print(json.dumps(run_rung(*parse_rung(args.rung), args.ladder, export=not args.no_export,
+                                  rows=not args.no_rows)))
         return 0
 
     sizes = args.sizes or LADDERS[args.ladder]
@@ -173,7 +174,7 @@ def main(argv=None):
               "rungs": []}
     for size, (n, N, labels) in zip(sizes, rungs):
         build_bytes, export_bytes = footprint(args.ladder, n, N, labels, blocks)
-        rows_bytes = export_bytes if args.ladder == "exact" else 0
+        rows_bytes = export_bytes
         rung = {"n": n, "N": N, "d": dimension(n, N, labels),
                 "predicted_gb": (build_bytes + rows_bytes + export_bytes) / 2 ** 30}
         if labels:

@@ -291,9 +291,9 @@ def _exchange_factors(ctx, targets, i, inverse):
 class BraidMatrix:
     """One braid generator on a lowest-weight space, with basis metadata.
 
-    ``entries`` reads the stored form: a read-only float array over sector
-    blocks (numeric, _BlockMatrix), built on first read, or the integer
-    triplets (exact, _ExactMatrix), read as Laurent rows built on each read.
+    ``entries`` reads the stored form anew each time (hold a read to use it
+    twice): numeric sector blocks (_BlockMatrix) as a read-only float array,
+    one sector's block itself, or exact triplets (_ExactMatrix) as Laurent rows.
     Columns are indexed by ``basis`` in the recorded order, and the
     physical generator is phase * entries.  Entries given to the
     constructor (directly, or through ``dataclasses.replace``) become the
@@ -341,7 +341,7 @@ def _read_entries(mat):
 def _store_entries(mat, value):
     if isinstance(value, np.ndarray):
         # a copy: the stored form never aliases an array the caller holds
-        value = _BlockMatrix(np.zeros(1, np.intp), np.array(value)[None])
+        value = _BlockMatrix(np.zeros(1, np.intp), np.array([value]))
     elif not isinstance(value, _BlockMatrix):
         value = _exact(value)
     vars(mat)["entries"] = value
@@ -929,6 +929,9 @@ class _ExactMatrix:
     def to_laurent(self):
         return list(map(list, self))
 
+    def identity_defect(self):
+        return self.max_diff(self.identity())[0]
+
 
 def _exact(entries):
     """An _ExactMatrix as is, or one read from nested Laurent lists."""
@@ -941,13 +944,14 @@ class _BlockMatrix:
     Column sector s has its only nonzero block, ``blocks[s]``, in row
     sector ``target[s]``.  Both numeric routes store this form; an array
     given to BraidMatrix is one block (``target == [0]``), so every float
-    matrix has it.
+    matrix has it.  A family's blocks own read-only memory.
     """
 
-    __slots__ = ("target", "blocks", "_dense")
+    __slots__ = ("target", "blocks")
 
     def __init__(self, target, blocks):
-        self.target, self.blocks, self._dense = target, blocks, None
+        blocks.flags.writeable = False
+        self.target, self.blocks = target, blocks
 
     def identity(self):
         """The identity with this matrix's sectors."""
@@ -955,14 +959,13 @@ class _BlockMatrix:
         return _BlockMatrix(np.arange(sectors), np.broadcast_to(np.eye(size), self.blocks.shape))
 
     def flat(self):
-        return _BlockMatrix(np.zeros(1, np.intp), _sector_major(self.blocks, self.target)[None])
+        return _BlockMatrix(np.zeros(1, np.intp), self.view()[None])
 
     def view(self):
-        """The sector-major array, built on first read and read-only."""
-        if self._dense is None:
-            self._dense = _sector_major(self.blocks, self.target)
-            self._dense.flags.writeable = False
-        return self._dense
+        """The read-only sector-major array, new on each read; one sector's is its block."""
+        dense = self.blocks[0] if len(self.target) == 1 else _sector_major(self.blocks, self.target)
+        dense.flags.writeable = False
+        return dense
 
     def to_json(self):
         """Wire form: ``numeric_to_json`` of each entry, reading only the
@@ -989,6 +992,14 @@ class _BlockMatrix:
         same = np.abs(self.blocks - other.blocks).max(axis=(1, 2))
         diff = np.where(self.target == other.target, same, np.maximum(mine, theirs))
         return float(np.max(diff)), float(max(np.max(mine), np.max(theirs)))
+
+    def identity_defect(self):
+        """Largest entry of |self - 1|, no identity built; a sector mapped elsewhere counts max(|block|, 1)."""
+        diff = self.blocks - np.eye(self.blocks.shape[1])
+        worst = np.abs(diff, out=diff).reshape(len(diff), -1).max(axis=1)
+        moved = self.target != np.arange(len(self.target))
+        worst[moved] = np.maximum(np.abs(self.blocks[moved]).max(axis=(1, 2)), 1.0)
+        return float(np.max(worst))
 
 
 def _operand(mat):
@@ -1050,8 +1061,7 @@ def inverse_defect(fwd, inv):
             raise ValueError("mismatched generator lists")
         if (mf.phase * mi.phase).exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
-        prod = _operand(mf) @ _operand(mi)
-        worst = max(worst, prod.max_diff(prod.identity())[0])
+        worst = max(worst, (_operand(mf) @ _operand(mi)).identity_defect())
     return worst
 
 

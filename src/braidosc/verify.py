@@ -564,8 +564,8 @@ def check_route_equivalence(rng, tols, draws=5):
                 rw = build_matrices(ctx.n, N, route="rewrite", ctx=ctx)
                 dr = build_matrices(ctx.n, N, route="direct", ctx=ctx)
                 for a, b in zip(rw, dr):
-                    scale = float(np.max(np.abs(a.entries)))
-                    worst = max(worst, _rel(np.max(np.abs(a.entries - b.entries)), scale))
+                    want = a.entries
+                    worst = max(worst, _rel(np.max(np.abs(want - b.entries)), float(np.max(np.abs(want)))))
     return CheckResult("route_equivalence", worst < tols.route_match, worst)
 
 

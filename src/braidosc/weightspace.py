@@ -292,8 +292,15 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     _check_size("n", ctx.n, 2)
     _check_size("N", N, 0)
     label, sectors = _sectors(ctx, sector)
+    *_, V = _monomial_levels(ctx, N, sectors)
+    return LowestWeightBasis(ctx, N, label, _monomial_grams(ctx, N, sectors, V, tols), V)
+
+
+def _monomial_levels(ctx, N, sectors):
+    """The monomial blocks of levels 0..N in turn, each stepped once from the last."""
     levels = [_occupations(j, ctx.n) for j in range(N + 1)]
     V = np.ones((len(sectors), 1, 1))  # the vacuum, the one monomial of degree 0
+    yield V
     for j, (lo, hi) in enumerate(zip(levels, levels[1:])):
         exps = np.array(monomial_exponents(ctx.n, j + 1)).reshape(-1, ctx.n - 1)
         # apply_monomial applies the largest k with p_k > 0 last: O**p = O_k O**(p - e_k)
@@ -306,7 +313,12 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
             O = _operator_block(lambda s, occ: _intertwiner_terms(ctx, k, s, occ), sectors, lo, hi)[1]
             out[:, :, cols] = O @ V[:, :, prev[cols]]
         V = out
-    lower = _operator_block(lambda s, occ: _coproduct_terms(ctx, "a-", s, occ), sectors, levels[-1],
+        yield V
+
+
+def _monomial_grams(ctx, N, sectors, V, tols):
+    """Gram matrices of the level-N monomial blocks V, checked positive definite once V lowers to zero."""
+    lower = _operator_block(lambda s, occ: _coproduct_terms(ctx, "a-", s, occ), sectors, _occupations(N, ctx.n),
                             _occupations(N - 1, ctx.n))[1]
     residuals = np.linalg.norm(lower @ V, axis=1) / np.linalg.norm(V, axis=1)
     s, m = np.unravel_index(np.argmax(residuals), residuals.shape)
@@ -319,7 +331,7 @@ def lowest_weight_monomials(ctx, N, sector=None, tols=DEFAULT_TOLS):
     if singular.any():
         raise BraidoscError("monomial Gram matrix of sector %r is numerically singular"
                             % (tuple(sectors[np.argmax(singular)].tolist()),))
-    return LowestWeightBasis(ctx, N, label, grams, V)
+    return grams
 
 
 def span_residual(vectors, others):
@@ -386,14 +398,15 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
         C -= raising[-1] @ _coproduct_block(ctx, "a-", sector, N, N - 1)
 
     blocks = []
-    expected_dims = []
-    for j in range(N + 1):
-        U = lowest_weight_monomials(ctx, j, sector, tols).coords
+    sectors = np.array([sector])
+    for j, V in enumerate(_monomial_levels(ctx, N, sectors)):
+        _monomial_grams(ctx, j, sectors, V, tols)
+        U = V[0]
         for R in raising[j:]:
             U = R @ U
         blocks.append(U)
-        expected_dims.append(lowest_weight_dimension(ctx.n, j))
     block_dims = [U.shape[1] for U in blocks]
+    expected_dims = [lowest_weight_dimension(ctx.n, j) for j in range(N + 1)]
 
     # scale-free: unit columns (a zero column stays zero), and each Casimir
     # residual relative to max(1, |lambda_j|), as the multiplicities are judged

@@ -872,7 +872,11 @@ class TestNumericStorage:
         # the stored blocks are the only field behind entries
         assert set(vars(m)) == {f.name for f in dataclasses.fields(m)}
         assert isinstance(vars(m)["entries"], _BlockMatrix) and len(vars(m)["entries"].target) == 24
-        assert m.entries is m.entries and m.entries.shape == (144, 144)
+        # each multi-sector read is a new read-only array with the same bytes
+        first, second = m.entries, m.entries
+        assert first.shape == (144, 144) and first.tobytes() == second.tobytes()
+        assert not first.flags.writeable and not second.flags.writeable
+        assert not np.shares_memory(first, second)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -915,17 +919,53 @@ class TestNumericStorage:
                 assert not any(np.shares_memory(total, vars(m)["entries"].blocks) for m in fwd)
 
     @pytest.mark.parametrize("route", ["rewrite", "direct"])
-    def test_metadata_copy_keeps_the_stored_form(self, route):
+    def test_one_sector_read_is_the_block(self, route, hctx3, mctx3):
+        # a homogeneous family, and arrays given to the constructor
+        for m in build_matrices(3, 2, route=route, ctx=hctx3) + closed_form_marked_n1(mctx3):
+            stored = vars(m)["entries"]
+            before = stored.blocks.tobytes()
+            read = m.entries
+            assert len(stored.target) == 1 and np.shares_memory(read, stored.blocks)
+            with pytest.raises(ValueError):
+                read.flags.writeable = True
+            with pytest.raises(ValueError):
+                read[0, 0] = 1.0
+            assert stored.blocks.tobytes() == before == m.entries.tobytes()
+
+    def test_reading_entries_keeps_nothing(self):
+        # all-distinct (4,2): a kept dense read would hold 162 kB per generator
+        fwd, _ = _distinct_pair("rewrite")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in fwd:
+                assert m.entries.shape == (144, 144)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * 2 ** 20
+
+    @staticmethod
+    def _forbid_views(monkeypatch):
+        def no_view(self):
+            raise AssertionError("built a dense view")
+
+        monkeypatch.setattr(_BlockMatrix, "view", no_view)
+
+    @pytest.mark.parametrize("route", ["rewrite", "direct"])
+    def test_metadata_copy_keeps_the_stored_form(self, route, monkeypatch):
         fwd, _ = _distinct_pair(route)
         stored = vars(fwd[1])["entries"]
+        want = braid_relation_defect(fwd)
+        self._forbid_views(monkeypatch)
         copy = dataclasses.replace(fwd[1], solve_residual=None, entries=stored)
         assert vars(copy)["entries"] is stored
-        assert braid_relation_defect([fwd[0], copy, *fwd[2:]]) == braid_relation_defect(fwd)
-        assert stored._dense is None
+        assert braid_relation_defect([fwd[0], copy, *fwd[2:]]) == want
 
-    def test_checks_read_blocks(self):
+    def test_checks_read_blocks(self, monkeypatch):
         # all-distinct (5,3): dense entries would be 46 MB per generator
         ctx = Context([RepLabel(0.6 + 0.2 * k, 0.3 + 0.25 * k) for k in range(5)], 0.7)
+        self._forbid_views(monkeypatch)
         for route in ("rewrite", "direct"):
             tracemalloc.start()
             try:
@@ -935,7 +975,6 @@ class TestNumericStorage:
             finally:
                 tracemalloc.stop()
             assert fwd[0].dimension == 2400 and peak < 32 * 2 ** 20
-            assert all(vars(m)["entries"]._dense is None for m in fwd + inv)
 
 
 class TestRoutes:
@@ -1278,6 +1317,37 @@ def test_block_checks_fall_back_to_dense_off_the_blocks():
     word = [1, 2, -3, 2, -1]
     total, _ = evaluate_word(word, fwd, inv)
     _assert_rounding_level(total, *_dense_word(word, fwd, inv))
+
+
+def _inverse_defect_by_identity(fwd, inv):
+    """inverse_defect as the comparison of each stored product with its identity."""
+    worst = 0.0
+    for f, b in zip(fwd, inv, strict=True):
+        prod = vars(f)["entries"] @ vars(b)["entries"]
+        worst = max(worst, prod.max_diff(prod.identity())[0])
+    return worst
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_inverse_defect_builds_no_identity(n):
+    """Sector by sector, |sigma sigma^{-1} - 1| equals the comparison with a
+    built identity bit for bit: on both routes, with a caller's array in the
+    family (one dense block against the inverse's sectors), and where a
+    product maps sectors into others."""
+    for q in (0.4, 1.3):
+        for ctx in _label_kinds(n, q):
+            for N in range(3):
+                for route in ("rewrite", "direct"):
+                    fwd, inv = (build_matrices(n, N, route=route, ctx=ctx, inverse=inverse) for inverse in (False, True))
+                    mixed = [dataclasses.replace(fwd[0], entries=np.array(fwd[0].entries)), *fwd[1:]]
+                    for f in (fwd, mixed):
+                        assert inverse_defect(f, inv) == _inverse_defect_by_identity(f, inv), (n, N, route)
+                    if n > 2 and not ctx.is_homogeneous():
+                        # sigma_1 sigma_2 maps sectors into others
+                        moved = [dataclasses.replace(fwd[1], generator=1)]
+                        want = _inverse_defect_by_identity(fwd[:1], moved)
+                        assert inverse_defect(fwd[:1], moved) == want >= 1.0
+
 
 class TestWords:
     def test_braid_relation_as_words(self):

@@ -1,7 +1,7 @@
 """Weight spaces, lowest-weight kernels, counting laws, exact nullspaces."""
 
-import dataclasses
 import hashlib
+import json
 import math
 import warnings
 
@@ -258,6 +258,19 @@ class TestDecomposition:
         assert rep.offblock_overlap >= 0.0
         assert rep.to_json()["weight_dim"] == 10
 
+    def test_reports_pinned(self):
+        # md5 of every report on n 2-5 x N 0-3 x q {0.65, 1.4}, homogeneous, marked and
+        # all-distinct labels; taken when each level was stepped from the vacuum anew
+        reports = []
+        for n in range(2, 6):
+            for q in (0.65, 1.4):
+                base, other = RepLabel(0.9, 0.4), RepLabel(1.6, 1.1)
+                for ctx in (homogeneous_context(n, 0.9, 0.4, q), marked_context(n, base, other, n // 2 + 1, q),
+                            Context([RepLabel(0.6 + 0.25 * k, 0.3 + 0.2 * k) for k in range(n)], q)):
+                    reports.extend(verify_decomposition(ctx, N).to_json() for N in range(4))
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.md5(text.encode()).hexdigest() == "3017e2a0b0e74d3f74a6d25d6fc51777"
+
     def test_marked_levels(self, mctx3):
         rep = verify_decomposition(mctx3, 2, None, DEFAULT_TOLS)
         assert rep.passed
@@ -288,17 +301,16 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("column", ["repeated", "zero"])
     def test_dependent_column_fails_the_rank(self, hctx3, monkeypatch, column):
-        monomials = weightspace.lowest_weight_monomials
+        grams = weightspace._monomial_grams
 
-        def edited(ctx, j, sector, tols):
-            lw = monomials(ctx, j, sector, tols)
+        # the level-3 monomials pass their checks, then one column is edited
+        def edited(ctx, j, sectors, V, tols):
+            out = grams(ctx, j, sectors, V, tols)
             if j == 3:
-                blocks = lw.blocks.copy()
-                blocks[0][:, -1] = blocks[0][:, 0] if column == "repeated" else 0.0
-                lw = dataclasses.replace(lw, blocks=blocks)
-            return lw
+                V[0][:, -1] = V[0][:, 0] if column == "repeated" else 0.0
+            return out
 
-        monkeypatch.setattr(weightspace, "lowest_weight_monomials", edited)
+        monkeypatch.setattr(weightspace, "_monomial_grams", edited)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = verify_decomposition(hctx3, 3, None, DEFAULT_TOLS)
