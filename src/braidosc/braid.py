@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -54,6 +53,7 @@ from .scalars import (
     Laurent,
     Phase,
     _check_size,
+    nan_max,
 )
 from .oscillator import BraidoscError, _act, _qpow_each, _slot_labels
 from .weightspace import (
@@ -421,7 +421,7 @@ def _matrices_direct(n, N, ctx, inverse, formula, tols):
         resid = np.linalg.norm(image - tV @ coeffs, axis=1) / np.maximum(np.linalg.norm(image, axis=1), 1e-300)
         s, m = np.unravel_index(np.argmax(resid), resid.shape)
         worst = float(resid[s, m])
-        if worst > tols.span_residual:
+        if not worst <= tols.span_residual:
             raise GramSolveError(
                 "braid image leaves the lowest-weight span, residual %.2e: generator %d, sector %r, monomial %r"
                 % (worst, i, sectors[s], basis[m].powers)
@@ -789,8 +789,8 @@ def pair_basis_change(n, s):
 class _ExactMatrix:
     """Integer Laurent matrix as canonical sorted triplets, read as Laurent rows.
 
-    ``k``, ``r``, ``c`` and ``v`` are int64 arrays of exponent, row, column
-    and nonzero coefficient of each term, sorted by (r, c, k) with no
+    ``k``, ``r``, ``c`` and ``v`` are read-only int64 arrays of exponent, row,
+    column and nonzero coefficient of each term, sorted by (r, c, k) with no
     duplicates: equal matrices have equal arrays, and each row is one run.
     Indexing and iteration build tuple rows of Laurent entries from their
     runs on each read and keep none, so hold a row to read entry by entry.
@@ -816,17 +816,14 @@ class _ExactMatrix:
             r, c = np.divmod(key // span, cols)
             k = key % span + kmin
         self.k, self.r, self.c, self.v = k, r, c, v
+        for a in (k, r, c, v):
+            a.flags.writeable = False
 
     @classmethod
     def from_laurent(cls, entries):
-        """Nested lists of Laurent entries; integer coefficients only."""
-        nonzero = [
-            (r, c, lp.terms) for r, row in enumerate(entries) for c, lp in enumerate(row) if lp.terms
-        ]
-        terms = [(e, r, c, v) for r, c, t in nonzero for e, v in t.items()]
-        if any(t[3].denominator != 1 for t in terms):
-            raise ValueError("exact matrix algebra needs integer Laurent coefficients")
-        arr = np.array([(e, r, c, v.numerator) for e, r, c, v in terms], np.int64).reshape(-1, 4)
+        """Nested lists of Laurent entries, whose coefficients are ints."""
+        terms = [(e, r, c, v) for r, row in enumerate(entries) for c, p in enumerate(row) for e, v in p.terms.items()]
+        arr = np.array(terms, np.int64).reshape(-1, 4)
         shape = (len(entries), len(entries[0]) if entries else 0)
         return cls(shape, *arr.T.copy())
 
@@ -839,8 +836,7 @@ class _ExactMatrix:
         los, his = (np.searchsorted(self.r, rows, side).tolist() for side in ("left", "right"))
         start = min(los, default=0)
         c, k, v = (a[start:max(his, default=0)].tolist() for a in (self.c, self.k, self.v))
-        coeff = {x: Fraction(x) for x in set(v)}
-        terms = list(zip(c, k, map(coeff.get, v)))
+        terms = list(zip(c, k, v))
         for lo, hi in zip(los, his):
             out = [L_ZERO] * self.shape[1]
             for j, e, x in terms[lo - start:hi - start]:
@@ -987,9 +983,10 @@ class _BlockMatrix:
         """Largest entry of |self - other|, and the largest of |self| and |other|."""
         if len(self.target) != len(other.target):
             return self.flat().max_diff(other.flat())
-        mine, theirs = (np.abs(m.blocks).max(axis=(1, 2)) for m in (self, other))
+        mine, theirs = (np.abs(m.blocks).reshape(len(m.blocks), -1).max(axis=1) for m in (self, other))
+        diff = self.blocks - other.blocks
+        same = np.abs(diff, out=diff).reshape(len(diff), -1).max(axis=1)
         # a column sector whose targets differ holds both blocks, apart
-        same = np.abs(self.blocks - other.blocks).max(axis=(1, 2))
         diff = np.where(self.target == other.target, same, np.maximum(mine, theirs))
         return float(np.max(diff)), float(max(np.max(mine), np.max(theirs)))
 
@@ -1009,8 +1006,8 @@ def _operand(mat):
 
 
 def lmat_mul(A, B):
-    """Product of two exact matrices, each an _ExactMatrix or nested Laurent lists."""
-    return (_exact(A) @ _exact(B)).to_laurent()
+    """The _ExactMatrix product of two exact matrices, each an _ExactMatrix or nested Laurent lists."""
+    return _exact(A) @ _exact(B)
 
 
 def lmat_eq(A, B):
@@ -1033,11 +1030,11 @@ def braid_relation_defect(mats):
     worst = 0.0
     for i in range(1, n - 1):
         A, B = by_gen[i], by_gen[i + 1]
-        worst = max(worst, _defect(A @ B @ A, B @ A @ B))
+        worst = nan_max(worst, _defect(A @ B @ A, B @ A @ B))
     for i in range(1, n):
         for j in range(i + 2, n):
             A, B = by_gen[i], by_gen[j]
-            worst = max(worst, _defect(A @ B, B @ A))
+            worst = nan_max(worst, _defect(A @ B, B @ A))
     return worst
 
 
@@ -1061,7 +1058,7 @@ def inverse_defect(fwd, inv):
             raise ValueError("mismatched generator lists")
         if (mf.phase * mi.phase).exponent != 0:
             raise BraidoscError("phases fail to cancel in inverse product")
-        worst = max(worst, (_operand(mf) @ _operand(mi)).identity_defect())
+        worst = nan_max(worst, (_operand(mf) @ _operand(mi)).identity_defect())
     return worst
 
 
@@ -1071,12 +1068,11 @@ def evaluate_word(word, forward, inverse):
     Positive letter k means generator k, negative its inverse; the
     returned pair is (entries, phase) with the leftmost letter acting
     first, i.e. the product M(w_L) ... M(w_1).  Entries are a new float
-    array or nested lists of Laurent polynomials.
+    array, or for an exact family the product's _ExactMatrix, which reads
+    as Laurent rows, equals nested lists and gives them by ``to_laurent()``.
     """
     total, phase = _word_product(word, forward, inverse)
-    if isinstance(total, _ExactMatrix):
-        return total.to_laurent(), phase
-    return _sector_major(total.blocks, total.target), phase
+    return (total if isinstance(total, _ExactMatrix) else _sector_major(total.blocks, total.target)), phase
 
 
 def _word_product(word, forward, inverse):

@@ -7,11 +7,11 @@ which below is always the combination x = q**(-gamma); in that regime the
 square-root and bare-q factors appearing in intermediate formulas cancel
 identically, so the exact backend carries no rounding error at all.
 
-No exact computation needs a field of fractions.  Exact kernels are read
-from a closed product with integer coefficients and never divide; only the
-reduced Burau reference divides, by a monomial, which :class:`Laurent`
-inverts with a negative power.  :class:`Phase` records the overall
-prefactor that is kept out of emitted braid matrices.
+Exact coefficients are integers: the exact families live in Z[x, 1/x].
+Exact kernels are read from a closed product with integer coefficients and
+never divide; only the reduced Burau reference divides, by the unit x**2,
+which :class:`Laurent` inverts with a negative power.  :class:`Phase`
+records the overall prefactor that is kept out of emitted braid matrices.
 
 The package's error base class and its dimension counts live here too:
 this module needs no numpy, so the command line can count and report
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _check_size(name, value, low):
@@ -98,6 +97,12 @@ def is_zero(x, *, abs_tol=DEFAULT_TOLS.abs_zero, rel_tol=DEFAULT_TOLS.rel_zero, 
     return abs(float(x)) <= abs_tol + rel_tol * abs(scale)
 
 
+def nan_max(*values):
+    """The largest value as a float, NaN if any is: ``max`` drops a NaN in all but first place."""
+    values = [float(v) for v in values]
+    return max(values) if all(v == v for v in values) else math.nan
+
+
 # ---------------------------------------------------------------------------
 # q-deformed numbers
 
@@ -123,23 +128,17 @@ def q_number(gamma, q, *, classical=False):
 # ---------------------------------------------------------------------------
 # exact Laurent polynomials
 
-def _coerce_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError("Laurent coefficients must be exact, got %r" % (value,))
-
-
 class Laurent:
-    """Sparse Laurent polynomial with Fraction coefficients.
+    """Sparse Laurent polynomial with integer coefficients.
 
-    Stored as a dict exponent -> coefficient with no zero entries, after
+    Stored as a dict exponent -> int coefficient with no zero entries, after
     the fashion of a sparse polynomial table.  Exponents may be negative.
-    Supports ring arithmetic, substitution x -> 1/x, numeric evaluation
-    and a stable JSON form.
+    Supports ring arithmetic, substitution x -> 1/x, numeric evaluation (a
+    float) and a stable JSON form; ``coeff`` of a missing exponent is 0.
+    Coefficients are ``numbers.Integral``, numpy ints included, stored as
+    ``int``: a rational, float or str raises TypeError, and ``from_json``
+    reads integer strings only.  Only the units +-x**k have negative powers;
+    any other raises ValueError.
     """
 
     __slots__ = ("terms",)
@@ -148,9 +147,10 @@ class Laurent:
         data = {}
         if terms:
             for e, c in terms.items():
-                c = _coerce_fraction(c)
+                if not isinstance(c, numbers.Integral):
+                    raise TypeError("Laurent coefficients must be integers, got %r" % (c,))
                 if c:
-                    data[int(e)] = c
+                    data[int(e)] = int(c)
         self.terms = data
 
     # -- constructors
@@ -186,7 +186,7 @@ class Laurent:
         return len(self.terms) == 1
 
     def coeff(self, e):
-        return self.terms.get(e, Fraction(0))
+        return self.terms.get(e, 0)
 
     # -- arithmetic
 
@@ -194,7 +194,7 @@ class Laurent:
     def _coerce(other):
         if isinstance(other, Laurent):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Laurent.const(other)
         return None
 
@@ -204,7 +204,7 @@ class Laurent:
             return NotImplemented
         data = dict(self.terms)
         for e, c in other.terms.items():
-            s = data.get(e, Fraction(0)) + c
+            s = data.get(e, 0) + c
             if s:
                 data[e] = s
             else:
@@ -240,7 +240,7 @@ class Laurent:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                s = data.get(e, Fraction(0)) + c1 * c2
+                s = data.get(e, 0) + c1 * c2
                 if s:
                     data[e] = s
                 else:
@@ -255,11 +255,11 @@ class Laurent:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            # only monomials are units in the Laurent ring
-            if not self.is_monomial():
-                raise ValueError("negative powers only for monomials")
+            # the units of Z[x, 1/x] are +-x**k, each its coefficient's own inverse
+            if not self.is_monomial() or abs(next(iter(self.terms.values()))) != 1:
+                raise ValueError("negative powers only for the units +-x**k")
             ((e, c),) = self.terms.items()
-            return Laurent({n * e: c ** n})
+            return Laurent({n * e: c ** -n})
         result = Laurent.const(1)
         base = self
         while n:
@@ -288,7 +288,7 @@ class Laurent:
         """Numeric evaluation at x = value."""
         total = 0.0 * value if not isinstance(value, float) else 0.0
         for e, c in self.terms.items():
-            total = total + (c.numerator / c.denominator) * value ** e
+            total = total + float(c) * value ** e
         return total
 
     # -- presentation
@@ -301,7 +301,7 @@ class Laurent:
 
     @classmethod
     def from_json(cls, obj):
-        return cls({int(e): Fraction(c) for e, c in obj["terms"]})
+        return cls({int(e): int(c) if isinstance(c, str) else c for e, c in obj["terms"]})
 
     def __str__(self):
         if not self.terms:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLS, Laurent, L_ONE, L_ZERO, q_number
+from .scalars import DEFAULT_TOLS, Laurent, L_ONE, L_ZERO, nan_max, q_number
 from .oscillator import (
     Context,
     RepLabel,
@@ -87,7 +87,7 @@ class SuiteReport:
     @property
     def max_residual(self):
         vals = [c.residual for c in self.checks if c.residual is not None]
-        return max(vals) if vals else None
+        return nan_max(*vals) if vals else None
 
     def to_json(self):
         return {
@@ -152,7 +152,7 @@ def check_ladder_commutators(ctx, occ_max, tols):
         r1 = num_up @ up - up @ num - up
         r2 = num_dn @ dn - dn @ num + dn
         r3 = _coproduct(ctx, "g+", N + 1, N + 1) @ up - up @ _coproduct(ctx, "g+", N, N)
-        worst = max(worst, rel(comm, up), rel(r1, up), rel(r2, dn), rel(r3, up))
+        worst = nan_max(worst, rel(comm, up), rel(r1, up), rel(r2, dn), rel(r3, up))
     return CheckResult("ladder_commutators_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
 
@@ -174,11 +174,11 @@ def check_intertwiner_identities(ctx, occ_max, tols, rng):
             r2 = num[1] @ ov - here @ (num[0] @ v) - ov
             r3 = up[1] @ ov - above @ (up[0] @ v)
             scale = 1.0 + norm(ov)
-            worst = max(worst, _rel(norm(r1), scale), _rel(norm(r2), scale), _rel(norm(r3), scale))
+            worst = nan_max(worst, _rel(norm(r1), scale), _rel(norm(r2), scale), _rel(norm(r3), scale))
         for k1 in range(1, ctx.n):
             for k2 in range(k1 + 1, ctx.n):
                 r = O[k1][2] @ (O[k2][1] @ v) - O[k2][2] @ (O[k1][1] @ v)
-                worst = max(worst, _rel(norm(r), 1.0 + norm(v)))
+                worst = nan_max(worst, _rel(norm(r), 1.0 + norm(v)))
     return CheckResult("intertwiner_identities_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
 
@@ -193,7 +193,7 @@ def check_casimir_levels(ctx, level_max, raise_max, tols):
             u = v
             for _ in range(raise_max + 1):
                 r = apply_casimir(u) - eig * u
-                worst = max(worst, _rel(r.norm(), (1.0 + abs(eig)) * u.norm()))
+                worst = nan_max(worst, _rel(r.norm(), (1.0 + abs(eig)) * u.norm()))
                 u = apply_coproduct("a+", u)
     return CheckResult("casimir_levels_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
@@ -207,11 +207,11 @@ def check_hermiticity(tols, q=0.5, gamma=1.0, c=1.0):
         vm, vm1 = basis_state(ctx1, (m,)), basis_state(ctx1, (m + 1,))
         lhs = apply_generator("a+", 1, vm).inner(vm1)
         rhs = vm.inner(apply_generator("a-", 1, vm1))
-        worst = max(worst, abs(float(lhs - rhs)) / (1.0 + abs(float(lhs))))
+        worst = nan_max(worst, abs(float(lhs - rhs)) / (1.0 + abs(float(lhs))))
     ctx2 = homogeneous_context(2, gamma, c, q)
     for N in range(4):
         up, down = _coproduct(ctx2, "a+", N, N + 1), _coproduct(ctx2, "a-", N + 1, N)
-        worst = max(worst, _rel(np.max(np.abs(up - down.T)), np.max(np.abs(up))))
+        worst = nan_max(worst, _rel(np.max(np.abs(up - down.T)), np.max(np.abs(up))))
     return CheckResult("hermiticity_q%.2f" % q, worst < tols.operator_identity, worst)
 
 
@@ -230,7 +230,7 @@ def check_star_intertwiner(ctx, occ_max, tols):
             B = mats[N - 1]
             lhs = lhs - B @ B.T
         r = np.max(np.abs(lhs - eig * np.eye(lhs.shape[0])))
-        worst = max(worst, _rel(r, abs(eig)))
+        worst = nan_max(worst, _rel(r, abs(eig)))
     return CheckResult("star_intertwiner_bracket", worst < tols.operator_identity, worst)
 
 
@@ -248,7 +248,7 @@ def check_orthonormality_two_slots(ctx, table_max, tols):
     for a, va in enumerate(vecs):
         for b, vb in enumerate(vecs):
             want = 1.0 if a == b else 0.0
-            worst = max(worst, abs(float(va.inner(vb)) - want))
+            worst = nan_max(worst, abs(float(va.inner(vb)) - want))
     return CheckResult("orthonormality_two_slots", worst < tols.operator_identity, worst)
 
 
@@ -336,8 +336,8 @@ def check_span_equality(tols, rng, draws=3):
                 for sector in ctx.distinct_sectors():
                     mono = lowest_weight_monomials(ctx, N, sector, tols)
                     kern = lowest_weight_kernel(ctx, N, sector, tols)
-                    worst = max(worst, span_residual(mono.vectors, kern.vectors))
-                    worst = max(worst, span_residual(kern.vectors, mono.vectors))
+                    worst = nan_max(worst, span_residual(mono.vectors, kern.vectors))
+                    worst = nan_max(worst, span_residual(kern.vectors, mono.vectors))
     return CheckResult("span_equality", worst < tols.span_residual, worst)
 
 
@@ -512,7 +512,7 @@ def check_marked_fixture(rng, tols, draws=3):
         P = marked_fixture_permutation(ctx, mats[0].basis, special)
         for mat, fix in zip(mats, (s1, s2)):
             got = P.T @ mat.entries @ P
-            worst = max(worst, _rel(np.max(np.abs(got - fix)), np.max(np.abs(fix))))
+            worst = nan_max(worst, _rel(np.max(np.abs(got - fix)), np.max(np.abs(fix))))
     return CheckResult("marked_fixture_6x6", worst < tols.rel_zero, worst)
 
 
@@ -538,7 +538,7 @@ def check_braid_relations(rng, tols, draws=5):
             ctx = homogeneous_context(n, gamma, c, q) if d % 2 == 0 else _draw_marked(rng, n)
             fn = build_matrices(n, N, route="rewrite", ctx=ctx)
             gn = build_matrices(n, N, route="rewrite", ctx=ctx, inverse=True)
-            worst = max(worst, braid_relation_defect(fn), inverse_defect(fn, gn))
+            worst = nan_max(worst, braid_relation_defect(fn), inverse_defect(fn, gn))
     passed = exact_ok and worst < tols.braid_residual
     return CheckResult("braid_relations_grid", passed, worst, detail)
 
@@ -565,7 +565,7 @@ def check_route_equivalence(rng, tols, draws=5):
                 dr = build_matrices(ctx.n, N, route="direct", ctx=ctx)
                 for a, b in zip(rw, dr):
                     want = a.entries
-                    worst = max(worst, _rel(np.max(np.abs(want - b.entries)), float(np.max(np.abs(want)))))
+                    worst = nan_max(worst, _rel(np.max(np.abs(want - b.entries)), float(np.max(np.abs(want)))))
     return CheckResult("route_equivalence", worst < tols.route_match, worst)
 
 
@@ -596,7 +596,7 @@ def check_series_route_relations(rng, tols, draws=5):
             q, gamma, c = _draw(rng)
             ctx = homogeneous_context(n, gamma, c, q) if d % 2 == 0 else _draw_marked(rng, n)
             mats = build_matrices(n, N, route="direct", ctx=ctx, formula="series")
-            worst = max(worst, braid_relation_defect(mats))
+            worst = nan_max(worst, braid_relation_defect(mats))
     return CheckResult("series_route_relations", worst < tols.braid_residual, worst)
 
 

@@ -322,12 +322,12 @@ def _monomial_grams(ctx, N, sectors, V, tols):
                             _occupations(N - 1, ctx.n))[1]
     residuals = np.linalg.norm(lower @ V, axis=1) / np.linalg.norm(V, axis=1)
     s, m = np.unravel_index(np.argmax(residuals), residuals.shape)
-    if residuals[s, m] > tols.kernel_residual:
+    if not residuals[s, m] <= tols.kernel_residual:
         raise BraidoscError("monomial %r of sector %r not annihilated by lowering, residual %.2e"
                             % (monomial_exponents(ctx.n, N)[m], tuple(sectors[s].tolist()), residuals[s, m]))
     grams = V.transpose(0, 2, 1) @ V
     eigs = np.linalg.eigvalsh(grams)
-    singular = eigs[:, 0] <= tols.sv_cutoff * np.maximum(eigs[:, -1], 1.0)
+    singular = ~(eigs[:, 0] > tols.sv_cutoff * np.maximum(eigs[:, -1], 1.0))
     if singular.any():
         raise BraidoscError("monomial Gram matrix of sector %r is numerically singular"
                             % (tuple(sectors[np.argmax(singular)].tolist()),))

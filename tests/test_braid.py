@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from braidosc import braid
 from braidosc.braid import (
     BasisElement,
     GramSolveError,
@@ -363,6 +364,16 @@ class TestRelations:
         assert braid_relation_defect(f) < 1e-10
         assert inverse_defect(f, b) < 1e-10
 
+    @pytest.mark.parametrize("generator", [1, 2])
+    def test_nan_entry_fails_both_defects(self, hctx3, generator):
+        f = build_matrices(3, 1, ctx=hctx3)
+        b = build_matrices(3, 1, ctx=hctx3, inverse=True)
+        entries = np.array(f[generator - 1].entries)
+        entries[0, 0] = np.nan
+        f[generator - 1] = dataclasses.replace(f[generator - 1], entries=entries)
+        for defect in (braid_relation_defect(f), inverse_defect(f, b)):
+            assert type(defect) is float and math.isnan(defect)
+
     def test_far_commutation(self):
         fam = build_matrices(5, 1)
         A = fam[0].entries
@@ -497,13 +508,13 @@ def test_exact_algebra_cancels_across_exponents():
 
 
 def test_exact_algebra_rejects_bad_input():
-    half = [[Laurent.x(0, Fraction(1, 2))]]
-    with pytest.raises(ValueError, match="integer Laurent coefficients"):
-        lmat_mul(half, [[L_ONE]])
+    with pytest.raises(TypeError, match="must be integers"):
+        Laurent.x(0, Fraction(1, 2))
+    row = [[L_ONE, L_ONE]]
     with pytest.raises(ValueError, match="shape mismatch"):
-        lmat_mul([[L_ONE, L_ONE]], [[L_ONE, L_ONE]])
-    family = [SimpleNamespace(generator=g, n=3, entries=half) for g in (1, 2)]
-    with pytest.raises(ValueError, match="integer Laurent coefficients"):
+        lmat_mul(row, row)
+    family = [SimpleNamespace(generator=g, n=3, entries=row) for g in (1, 2)]
+    with pytest.raises(ValueError, match="shape mismatch"):
         braid_relation_defect(family)
 
 
@@ -740,6 +751,10 @@ class TestExactStorage:
             m.entries[0][0] = L_ONE
         with pytest.raises(TypeError):
             m.entries[0] = [L_ONE] * m.dimension
+        # a one-letter word is the generator's stored matrix itself
+        word, _ = evaluate_word([1], [m], None)
+        with pytest.raises(ValueError):
+            word.v[0] = 5
 
     def test_view_matches_stored_matrix(self):
         for fam in self._families():
@@ -849,11 +864,31 @@ class TestExactStorage:
     def test_word_product_is_the_stored_form_of_evaluate_word(self):
         f = build_matrices(4, 2)
         b = build_matrices(4, 2, inverse=True)
+        letters = {m.generator * (-1 if m.inverse else 1): m.entries.to_laurent() for m in f + b}
         for word in ([], [2], [1, -3, 2, 2]):
             total, phase = _word_product(word, f, b)
-            lists, same_phase = evaluate_word(word, f, b)
-            assert isinstance(lists, list) and total.to_laurent() == lists
+            got, same_phase = evaluate_word(word, f, b)
+            assert isinstance(got, _ExactMatrix) and got == total
+            # the nested lists, multiplied letter by letter
+            lists = [[L_ONE if r == c else L_ZERO for c in range(f[0].dimension)] for r in range(f[0].dimension)]
+            for letter in word:
+                lists = _naive_lmat_mul(letters[letter], lists)
+            assert got.to_laurent() == lists
             assert phase == same_phase
+
+    def test_words_and_products_print_as_pinned(self):
+        # md5 of the str of every entry, pinned when words and products were nested lists
+        digest = hashlib.md5()
+        for n in (3, 4, 5):
+            for N in (1, 2, 3):
+                f, b = build_matrices(n, N), build_matrices(n, N, inverse=True)
+                words = ([], [1], [1, -2, 1, 2], [-(n - 1), 1, 1, n - 1], list(range(1, n)) * 2)
+                totals = [evaluate_word(w, f, b)[0] for w in words]
+                products = [lmat_mul(x.entries, y.entries) for x in f for y in b]
+                products.append(lmat_mul(f[0].entries.to_laurent(), totals[-1]))
+                for rows in totals + products:
+                    digest.update(("\n".join(" ".join(map(str, row)) for row in rows) + "\n\n").encode())
+        assert digest.hexdigest() == "4c8f9a237eed138ec103f7cc30e210de"
 
 
 def _distinct_pair(route):
@@ -1037,6 +1072,17 @@ class TestRoutes:
     def test_direct_rejects_span_residual(self, mctx3):
         with pytest.raises(GramSolveError, match="leaves the lowest-weight span"):
             build_matrices(3, 2, route="direct", ctx=mctx3, tols=Tolerances(span_residual=-1.0))
+
+    def test_direct_rejects_nan_solve(self, mctx3, monkeypatch):
+        def poisoned(*args):
+            targets, blocks = _operator_block(*args)
+            blocks = blocks.copy()
+            blocks[0, 0, 0] = np.nan
+            return targets, blocks
+
+        monkeypatch.setattr(braid, "_operator_block", poisoned)
+        with pytest.raises(GramSolveError, match="residual nan"):
+            build_matrices(3, 2, route="direct", ctx=mctx3)
 
     @pytest.mark.parametrize("tols, match", [
         (Tolerances(span_residual=-1.0), r"generator 1, sector \(\d, \d, \d\), monomial \(\d, \d\)"),

@@ -127,17 +127,20 @@ def test_package_leaves_mpmath_unloaded():
     """Importing the package and building a numeric family touches no
     extended-precision library (and so no process-wide precision setting);
     the exact relation and inverse checks do not load scipy, whose import
-    alone would cost every process a fifth of a second."""
+    alone would cost every process a fifth of a second, and with an exact
+    word they load neither ``fractions`` nor ``decimal``."""
     code = (
         "import sys\n"
         "from braidosc import RepLabel, build_matrices, marked_context\n"
-        "from braidosc import braid_relation_defect, inverse_defect\n"
+        "from braidosc import braid_relation_defect, evaluate_word, inverse_defect\n"
         "ctx = marked_context(3, RepLabel(1.0, 0.5), RepLabel(1.5, 0.8), 2, 0.6)\n"
         "build_matrices(3, 2, route='direct', ctx=ctx)\n"
         "assert 'mpmath' not in sys.modules, sorted(sys.modules)\n"
         "f, b = (build_matrices(4, 2, inverse=inverse) for inverse in (False, True))\n"
         "assert braid_relation_defect(f) == 0.0 and inverse_defect(f, b) == 0.0\n"
         "assert 'scipy' not in sys.modules, sorted(sys.modules)\n"
+        "evaluate_word([1, -3, 2], f, b)\n"
+        "assert not {'fractions', 'decimal'} & set(sys.modules), sorted(sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(braidosc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 import braidosc
-from braidosc import braid, cli
+from braidosc import braid, cli, verify
 from braidosc.braid import build_matrices, family_to_json
-from braidosc.scalars import BraidoscError
-from braidosc.verify import SUITES, CheckResult, run_suites, suite_braid
+from braidosc.scalars import DEFAULT_TOLS, BraidoscError
+from braidosc.verify import SUITES, CheckResult, SuiteReport, run_suites, suite_braid
 
 
 class TestSuites:
@@ -55,6 +56,13 @@ class TestSuites:
         doc = CheckResult("check", np.bool_(True), 0.0).to_json()
         assert json.loads(json.dumps(doc))["passed"] is True
 
+    def test_nan_defect_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "braid_relation_defect", lambda mats: math.nan)
+        check = verify.check_series_route_relations(np.random.default_rng(0), DEFAULT_TOLS, draws=1)
+        assert not check.passed and math.isnan(check.residual)
+        report = SuiteReport("braid", 0, {}, [CheckResult("finite", True, 1.0), check])
+        assert not report.passed and math.isnan(report.max_residual)
+
 
 def _python(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's package."""
@@ -86,8 +94,8 @@ def test_verify_module_loads_on_first_use():
 ], ids=["import", "dims", "help", "dims-invalid"])
 def test_counting_and_help_load_no_numpy(argv, code):
     """``import braidosc``, ``python -m braidosc.cli dims`` and ``--help``
-    load neither numpy nor an operator module, and neither does the exit 2
-    of an invalid ``dims``."""
+    load neither numpy, an operator module nor ``fractions`` and
+    ``decimal``, and neither does the exit 2 of an invalid ``dims``."""
     run = "" if argv is None else (
         "sys.argv = ['braidosc'] + %r\n"
         "try:\n"
@@ -98,7 +106,7 @@ def test_counting_and_help_load_no_numpy(argv, code):
     proc = _python(
         "import runpy, sys\n"
         "import braidosc\n" + run +
-        "heavy = ('numpy', 'braidosc.oscillator', 'braidosc.weightspace', 'braidosc.braid')\n"
+        "heavy = ('numpy', 'braidosc.oscillator', 'braidosc.weightspace', 'braidosc.braid', 'fractions', 'decimal')\n"
         "loaded = [name for name in heavy if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )

@@ -192,6 +192,19 @@ class TestMonomialBasis:
         with pytest.raises(BraidoscError, match=match):
             lowest_weight_monomials(mctx3, 2, None, tols)
 
+    def test_rejects_nan_block(self, mctx3, monkeypatch):
+        levels = weightspace._monomial_levels
+
+        def poisoned(*args):
+            *_, V = levels(*args)
+            V = V.copy()
+            V[0, 0, 0] = np.nan
+            yield V
+
+        monkeypatch.setattr(weightspace, "_monomial_levels", poisoned)
+        with pytest.raises(BraidoscError, match="not annihilated"):
+            lowest_weight_monomials(mctx3, 2)
+
 
 def test_span_residual_rejects_zero_vector(hctx3):
     from braidosc.oscillator import WeightVector
