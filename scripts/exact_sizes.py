@@ -28,14 +28,13 @@ Guards: the ladder stops after the first rung that takes longer than
 starts, its footprint is predicted at 8 bytes per list slot or float:
 (n-1) d**2 slots for the export, and as many again for the row read (a
 checkout may keep the rows or dense arrays through the export); for the
-two numeric builds, (n-1) sectors C(n+N-2, N)**2 floats each when the
-checkout stores sector blocks, else (n-1) d**2 (exact builds store
-triplets, counted as nothing); for a kernel, one slot per weight state of each
-kernel vector.  A rung whose builds alone pass ``--mem-cap`` is skipped,
-and a rung whose row read, or then its export, would pass it runs without
-that stage; nothing of a skipped stage is allocated.
-``--src`` measures another checkout's ``src/``, with the footprint that
-checkout stores.
+two numeric builds, (n-1) sectors C(n+N-2, N)**2 floats each, the sector
+blocks they store (exact builds store triplets, counted as nothing); for
+a kernel, one slot per weight state of each kernel vector.  A rung whose
+builds alone pass ``--mem-cap`` is skipped, and a rung whose row read, or
+then its export, would pass it runs without that stage; nothing of a
+skipped stage is allocated.
+``--src`` measures another checkout's ``src/``.
 """
 
 import os
@@ -80,7 +79,7 @@ def dimension(n, N, labels):
     return (math.factorial(n) if labels == "distinct" else 1) * math.comb(n + N - 2, N)
 
 
-def footprint(ladder, n, N, labels, blocks):
+def footprint(ladder, n, N, labels):
     """Predicted bytes of a rung's two builds and of its export."""
     if ladder == "kernel":
         return math.comb(n + N - 1, N) * math.comb(n + N - 2, N) * SLOT_BYTES, 0
@@ -88,8 +87,7 @@ def footprint(ladder, n, N, labels, blocks):
     export = (n - 1) * d * d * SLOT_BYTES
     if ladder == "exact":
         return 0, export
-    stored = d * math.comb(n + N - 2, N) if blocks else d * d
-    return 2 * (n - 1) * stored * SLOT_BYTES, export
+    return 2 * (n - 1) * d * math.comb(n + N - 2, N) * SLOT_BYTES, export
 
 
 def family_builder(n, labels, route):
@@ -139,14 +137,6 @@ def run_rung(n, N, labels, route, export, rows):
     return out
 
 
-def stores_blocks():
-    """True when the package stores numeric families as sector blocks, not dense arrays."""
-    from braidosc import Context, RepLabel, build_matrices
-
-    ctx = Context([RepLabel(1.0, 0.5), RepLabel(1.1, 0.7)], 0.6)
-    return hasattr(vars(build_matrices(2, 1, ctx=ctx)[0])["entries"], "blocks")
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--ladder", choices=sorted(LADDERS), default="exact", help="exact backend, numeric route or exact kernel")
@@ -168,12 +158,10 @@ def main(argv=None):
     rungs = [parse_rung(size) for size in sizes]
     if any((labels is None) != (args.ladder in EXACT_RUNGS) for _, _, labels in rungs):
         raise SystemExit("exact and kernel rungs are n,N and numeric rungs n,N,labels")
-    blocks = args.ladder not in EXACT_RUNGS and stores_blocks()
     cap = args.mem_cap * 2 ** 30
-    report = {"ladder": args.ladder, "budget_s": args.budget, "mem_cap_gb": args.mem_cap, "stores_blocks": blocks,
-              "rungs": []}
+    report = {"ladder": args.ladder, "budget_s": args.budget, "mem_cap_gb": args.mem_cap, "rungs": []}
     for size, (n, N, labels) in zip(sizes, rungs):
-        build_bytes, export_bytes = footprint(args.ladder, n, N, labels, blocks)
+        build_bytes, export_bytes = footprint(args.ladder, n, N, labels)
         rows_bytes = export_bytes
         rung = {"n": n, "N": N, "d": dimension(n, N, labels),
                 "predicted_gb": (build_bytes + rows_bytes + export_bytes) / 2 ** 30}

@@ -52,6 +52,7 @@ from .scalars import (
     L_ZERO,
     Laurent,
     Phase,
+    _check_integer,
     _check_size,
     nan_max,
 )
@@ -151,6 +152,7 @@ def _swapped(ctx, sectors, g):
 
 def _braid_op(ctx, i, inverse, formula):
     """Generator i (1-based) as a function of (sectors, occupation rows)."""
+    _check_integer("i", i)
     if not 1 <= i <= ctx.n - 1:
         raise ValueError("generator index out of range")
     _check_formula(formula)
@@ -351,28 +353,41 @@ def _store_entries(mat, value):
 BraidMatrix.entries = property(_read_entries, _store_entries)
 
 
-def monomial_basis_elements(n, N, sectors):
+def _family(route, n, N, ctx, inverse, entries, sectors=None, residuals=None):
+    """Generators 1 .. n-1 with the given entries on the sector-major basis,
+    ``sectors`` (the identity arrangement by default) times
+    ``monomial_exponents(n, N)``; ctx None is the exact backend.  The phase
+    follows build_matrices: one unit per generator, minus one per inverse,
+    for homogeneous labels, trivial for others.
+    """
     exps = monomial_exponents(n, N)
-    return [BasisElement(tuple(sec), powers) for sec in sectors for powers in exps]
+    basis = [BasisElement(tuple(sec), powers) for sec in sectors or [tuple(range(n))] for powers in exps]
+    phase = Phase(-1 if inverse else 1) if ctx is None or ctx.is_homogeneous() else Phase()
+    return [
+        BraidMatrix(
+            generator=i, inverse=inverse, n=n, N=N, route=route, backend="laurent" if ctx is None else "numeric",
+            basis=basis, entries=e, phase=phase, q=None if ctx is None else float(ctx.q),
+            labels=None if ctx is None else ctx.labels, solve_residual=r,
+        )
+        for i, (e, r) in enumerate(zip(entries, residuals or [None] * len(entries)), start=1)
+    ]
 
 
 def _matrices_rewrite(n, N, ctx, inverse):
     exact = ctx is None
-    homogeneous = exact or ctx.is_homogeneous()
     sectors = [tuple(range(n))] if exact else ctx.distinct_sectors()
     exps = monomial_exponents(n, N)
     d = len(exps)
-    basis = monomial_basis_elements(n, N, sectors)
     number = {sec: k for k, sec in enumerate(sectors)}
     stack = np.array(sectors)
     sign = -1 if inverse else 1
-    mats = []
+    entries = []
     for i in range(1, n):
         row, col, counts, mult = _rewrite_table(i, exps)
         if exact:
             # each O_i gives -x**2, each O_{i-1} or O_{i+1} turned into O_i gives x
             power = sign * (2 * counts[0] + counts[2] + counts[4])
-            entries = _ExactMatrix((d, d), power, row, col, (-1) ** counts[0] * mult)
+            entries.append(_ExactMatrix((d, d), power, row, col, (-1) ** counts[0] * mult))
         else:
             targets = _swapped(ctx, stack, i - 1)
             factors = _exchange_factors(ctx, targets, i, inverse)
@@ -383,29 +398,24 @@ def _matrices_rewrite(n, N, ctx, inverse):
             ga, ca, _, _ = _slot_labels(ctx, stack, i - 1)
             gb, cb, _, _ = _slot_labels(ctx, stack, i)
             # homogeneous labels keep the constant vacuum factor in the phase
-            vacuum = 1.0 if homogeneous else _qpow_each(ctx, -(ca * gb + cb * ga), inverse)
+            vacuum = 1.0 if ctx.is_homogeneous() else _qpow_each(ctx, -(ca * gb + cb * ga), inverse)
             blocks = np.zeros((len(sectors), d, d))
             blocks[:, row, col] = mult * math.prod(table[:, k, counts[k]] for k in range(5)) * vacuum
-            entries = _BlockMatrix(np.array([number[sec] for sec in map(tuple, targets.tolist())]), blocks)
-        mats.append(BraidMatrix(
-            generator=i, inverse=inverse, n=n, N=N, route="rewrite", backend="laurent" if exact else "numeric",
-            basis=basis, entries=entries, phase=Phase(sign) if homogeneous else Phase(),
-            q=None if exact else float(ctx.q), labels=None if exact else ctx.labels,
-        ))
-    return mats
+            entries.append(_BlockMatrix(np.array([number[sec] for sec in map(tuple, targets.tolist())]), blocks))
+    return _family("rewrite", n, N, ctx, inverse, entries, sectors)
 
 
 def _matrices_direct(n, N, ctx, inverse, formula, tols):
     sectors = ctx.distinct_sectors()
     number = {sec: k for k, sec in enumerate(sectors)}
-    basis = monomial_basis_elements(n, N, sectors)
+    exps = monomial_exponents(n, N)
     rows = _occupations(N, n)
     # monomial coordinates V and Gram matrices V^T V, one block per sector
     lw = lowest_weight_monomials(ctx, N, "all", tols)
     V, gram = lw.blocks, lw.grams
-    phase = Phase(-1 if inverse else 1) if ctx.is_homogeneous() else Phase()
-    common = 1.0 if phase.is_trivial() else float(ctx.qpow(-2 * ctx.labels[0].c * ctx.labels[0].gamma, inverse))
-    mats = []
+    # homogeneous labels keep the constant vacuum factor in the phase
+    common = float(ctx.qpow(-2 * ctx.labels[0].c * ctx.labels[0].gamma, inverse)) if ctx.is_homogeneous() else 1.0
+    entries, residuals = [], []
     for i in range(1, n):
         targets, blocks = _operator_block(_braid_op(ctx, i, inverse, formula), np.array(sectors), rows, rows)
         t = [number[sec] for sec in map(tuple, targets.tolist())]
@@ -424,14 +434,11 @@ def _matrices_direct(n, N, ctx, inverse, formula, tols):
         if not worst <= tols.span_residual:
             raise GramSolveError(
                 "braid image leaves the lowest-weight span, residual %.2e: generator %d, sector %r, monomial %r"
-                % (worst, i, sectors[s], basis[m].powers)
+                % (worst, i, sectors[s], exps[m])
             )
-        mats.append(BraidMatrix(
-            generator=i, inverse=inverse, n=n, N=N, route="direct", backend="numeric", basis=basis,
-            entries=_BlockMatrix(np.array(t), coeffs / common), phase=phase, q=float(ctx.q), labels=ctx.labels,
-            solve_residual=worst,
-        ))
-    return mats
+        entries.append(_BlockMatrix(np.array(t), coeffs / common))
+        residuals.append(worst)
+    return _family("direct", n, N, ctx, inverse, entries, sectors, residuals)
 
 
 def build_matrices(
@@ -451,12 +458,13 @@ def build_matrices(
     no context; backend "numeric" requires a Context.  Homogeneous labels
     keep the constant vacuum factor q**(-2 c gamma) per generator in the
     phase, other labels keep theirs in the entries: phase.value(q, gamma, c)
-    * entries is the physical matrix.  Route "closed_form" is Burau (N = 1)
-    or LKB (N = 2) for homogeneous labels, the marked family for one marked
-    label at N = 1.  ``formula`` ("closed" or "series") picks the two-slot
-    amplitude of the direct route; the other routes check it and do not
-    use it.  What a route would ignore raises ValueError: a context of
-    another n, and homogeneous labels on the numeric closed-form route.
+    * entries is the physical matrix; every route takes its phase and basis
+    from _family.  Route "closed_form" is Burau (N = 1) or LKB (N = 2) for
+    homogeneous labels, the marked family for one marked label at N = 1.
+    ``formula`` ("closed" or "series") picks the two-slot amplitude of the
+    direct route; the other routes check it and do not use it.  What a
+    route would ignore raises ValueError: a context of another n, and
+    homogeneous labels on the numeric closed-form route.
     """
     _check_size("n", n, 2)
     _check_size("N", N, 0)
@@ -506,7 +514,6 @@ def closed_form_burau(n, inverse=False):
     """
     _check_size("n", n, 2)
     xx = Laurent.x(-1) if inverse else Laurent.x(1)
-    basis = monomial_basis_elements(n, 1, [tuple(range(n))])
     mats = []
     for i in range(1, n):
         M = _laurent_identity(n - 1)
@@ -516,11 +523,8 @@ def closed_form_burau(n, inverse=False):
             M[r][r - 1] = xx
         if r + 1 <= n - 2:
             M[r][r + 1] = xx
-        mats.append(BraidMatrix(
-            generator=i, inverse=inverse, n=n, N=1, route="closed_form", backend="laurent", basis=basis,
-            entries=M, phase=Phase(-1 if inverse else 1),
-        ))
-    return mats
+        mats.append(_ExactMatrix.from_laurent(M))
+    return _family("closed_form", n, 1, None, inverse, mats)
 
 
 def _lkb_image(i, a, b, xx):
@@ -570,18 +574,14 @@ def closed_form_lkb(n, inverse=False):
     xx = Laurent.x(-1) if inverse else Laurent.x(1)
     pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
     pidx = {p: k for k, p in enumerate(pairs)}
-    basis = monomial_basis_elements(n, 2, [tuple(range(n))])
     mats = []
     for i in range(1, n):
         M = [[L_ZERO] * len(pairs) for _ in pairs]
         for col, (a, b) in enumerate(pairs):
             for pair, val in _lkb_image(i, a, b, xx).items():
                 M[pidx[pair]][col] = val
-        mats.append(BraidMatrix(
-            generator=i, inverse=inverse, n=n, N=2, route="closed_form", backend="laurent", basis=basis,
-            entries=M, phase=Phase(-1 if inverse else 1),
-        ))
-    return mats
+        mats.append(_ExactMatrix.from_laurent(M))
+    return _family("closed_form", n, 2, None, inverse, mats)
 
 
 def _marked_case_images(i, k, j, d):
@@ -653,7 +653,6 @@ def closed_form_marked_n1(ctx, inverse=False):
     base_idx = ctx._members[1 - marked_class][0]
     base, special = ctx.labels[base_idx], ctx.labels[special_idx]
     n = ctx.n
-    q = ctx.q
     g1, c1 = base.gamma, base.c
     g2, c2 = special.gamma, special.c
     qg1 = ctx.qpow(-g1, inverse)
@@ -664,22 +663,19 @@ def closed_form_marked_n1(ctx, inverse=False):
     pack = (qg1, qg2, d1, d2, d3)
 
     sectors = ctx.distinct_sectors()
-    basis = monomial_basis_elements(n, 1, sectors)
     # w_k^{(j)} sits at offset k - 1 (the level-1 monomials run O_1 .. O_{n-1}) in
     # the block of the sector whose 1-based slot j holds the special label's index
     start = {sec.index(special_idx) + 1: s * (n - 1) for s, sec in enumerate(sectors)}
     mats = []
     for i in range(1, n):
-        entries = np.zeros((len(basis), len(basis)))
+        # one dense block, as the constructor would store an array, but not copied
+        block = np.zeros((1,) + (len(sectors) * (n - 1),) * 2)
         for j, col in start.items():
             for k in range(1, n):
                 for (k2, j2), val in _marked_case_images(i, k, j, pack).items():
-                    entries[start[j2] + k2 - 1, col + k - 1] = float(val)
-        mats.append(BraidMatrix(
-            generator=i, inverse=inverse, n=n, N=1, route="closed_form", backend="numeric", basis=basis,
-            entries=entries, phase=Phase(), q=float(q), labels=ctx.labels,
-        ))
-    return mats
+                    block[0, start[j2] + k2 - 1, col + k - 1] = float(val)
+        mats.append(_BlockMatrix(np.zeros(1, np.intp), block))
+    return _family("closed_form", n, 1, ctx, inverse, mats, sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +871,8 @@ class _ExactMatrix:
         return _ExactMatrix((len(idx),) * 2, np.zeros_like(idx), idx, idx, np.ones_like(idx))
 
     def __matmul__(self, other):
+        if not isinstance(other, _ExactMatrix):
+            raise ValueError("%s @ %s: exact and numeric do not mix" % (type(self).__name__, type(other).__name__))
         (rows, inner), (inner_b, cols) = self.shape, other.shape
         if inner != inner_b:
             raise ValueError("shape mismatch %r @ %r" % (self.shape, other.shape))
@@ -975,6 +973,8 @@ class _BlockMatrix:
         return out
 
     def __matmul__(self, other):
+        if not isinstance(other, _BlockMatrix):
+            raise ValueError("%s @ %s: exact and numeric do not mix" % (type(self).__name__, type(other).__name__))
         if len(self.target) != len(other.target):
             return self.flat() @ other.flat()
         return _BlockMatrix(self.target[other.target], self.blocks[other.target] @ other.blocks)
@@ -1084,6 +1084,7 @@ def _word_product(word, forward, inverse):
     total = None
     phase = Phase()
     for letter in word:
+        _check_integer("word letter", letter)
         mat = by_gen_f.get(letter) if letter > 0 else by_gen_i.get(-letter)
         if mat is None:
             raise ValueError(
@@ -1100,9 +1101,9 @@ def family_to_json(mats):
     if not mats:
         raise ValueError("empty generator family")
     first = mats[0]
-    phases = {str(m.phase.to_json()) for m in mats}
-    if len(phases) != 1:
-        raise BraidoscError("generator family with inconsistent phases")
+    for field in ("n", "N", "labels", "q", "route", "backend", "phase", "basis"):
+        if any(getattr(m, field) != getattr(first, field) for m in mats):
+            raise BraidoscError("generator family with inconsistent %s" % field)
     return {
         "n": first.n,
         "N": first.N,

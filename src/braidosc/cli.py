@@ -161,10 +161,7 @@ def cmd_verify(args):
             if not chk.passed:
                 print("  failed: %s residual=%s" % (chk.name, chk.residual))
     if args.report:
-        payload = [rep.to_json() for rep in reports]
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit(_json_text([rep.to_json() for rep in reports]) + "\n", args.report)
     ok = all(rep.passed for rep in reports)
     print("ALL PASS" if ok else "FAILURES PRESENT")
     return 0 if ok else 1

@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 # BraidoscError is defined in scalars and re-exported here
-from .scalars import BraidoscError, _check_size, q_number
+from .scalars import BraidoscError, _check_integer, _check_size, q_number
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,7 @@ def homogeneous_context(n, gamma, c, q):
 
 def marked_context(n, base, special, position, q):
     """Context with one distinguished label at the given slot (1-based)."""
+    _check_integer("position", position)
     if not 1 <= position <= n:
         raise ValueError("position out of range")
     labels = [base] * n
@@ -363,6 +364,7 @@ def apply_generator(gen, slot, vec):
     (the group-like q**(+-gamma/2)).
     """
     ctx = vec.ctx
+    _check_integer("slot", slot)
     if not 1 <= slot <= ctx.n:
         raise ValueError("slot out of range")
     _check_generator(gen)
@@ -392,6 +394,7 @@ def apply_intertwiner(k, vec):
     weight by one and leaves the arrangement unchanged.
     """
     ctx = vec.ctx
+    _check_integer("k", k)
     if not 1 <= k <= ctx.n - 1:
         raise ValueError("intertwiner index out of range")
     return _act(lambda sectors, occ: _intertwiner_terms(ctx, k - 1, sectors, occ), vec)

@@ -25,10 +25,15 @@ import numbers
 from dataclasses import dataclass
 
 
-def _check_size(name, value, low):
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+def _check_integer(name, value):
+    """Raise ValueError unless ``value`` is an integer (numpy's too), not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
+def _check_size(name, value, low):
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+    _check_integer(name, value)
     if value < low:
         raise ValueError("%s must be >= %d, got %r" % (name, low, value))
 

@@ -127,17 +127,7 @@ def from_coordinates(ctx, coords, basis):
 
 def operator_matrix(op, domain, codomain):
     """Matrix of a state-to-vector map between orthonormal state bases."""
-    ctx = domain.ctx
-    idx = codomain.index()
-    A = np.zeros((len(codomain), len(domain)))
-    for col, st in enumerate(domain.states):
-        image = op(basis_state(ctx, st.occ, st.perm))
-        for st2, co in image.terms.items():
-            try:
-                A[idx[st2], col] = float(co)
-            except KeyError:
-                raise BraidoscError("operator image leaves the codomain at %r" % (st2,))
-    return A
+    return _coordinate_matrix([op(basis_state(domain.ctx, st.occ, st.perm)) for st in domain.states], codomain)
 
 
 def _occupations(N, n):

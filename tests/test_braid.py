@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -434,6 +435,18 @@ class TestRelations:
         for fwd, inv in ((f, b[:1]), (f[:1], b), (f, [])):
             with pytest.raises(ValueError):
                 inverse_defect(fwd, inv)
+
+    def test_mixed_stored_forms_raise_value_error(self):
+        ctx = homogeneous_context(3, 1.0, 0.5, 0.6)
+        exact, exact_inv = build_matrices(3, 1), build_matrices(3, 1, inverse=True)
+        numeric, numeric_inv = build_matrices(3, 1, ctx=ctx), build_matrices(3, 1, ctx=ctx, inverse=True)
+        with pytest.raises(ValueError, match="_ExactMatrix @ _BlockMatrix"):
+            inverse_defect(exact, numeric_inv)
+        with pytest.raises(ValueError, match="_ExactMatrix @ _BlockMatrix"):
+            braid_relation_defect([exact[0], numeric[1]])
+        with pytest.raises(ValueError, match="_BlockMatrix @ _ExactMatrix"):
+            evaluate_word([1, -1], exact, numeric_inv)
+        assert inverse_defect(numeric, numeric_inv) < 1e-12 and inverse_defect(exact, exact_inv) == 0.0
 
     def test_empty_family_is_rejected(self):
         with pytest.raises(ValueError, match="empty generator family"):
@@ -1046,6 +1059,33 @@ class TestRoutes:
                             digest.update(m.entries.tobytes())
         assert digest.hexdigest() == "97262a281f4c6378fd3fd6935c43c8ec"
 
+    def test_every_family_pinned(self):
+        # md5 of each family's fields, basis, wire form and entries on n = 2..4, N = 0..2,
+        # both directions: exact rewrite, Burau and LKB, and on homogeneous, marked and
+        # all-distinct labels at two q the numeric rewrite, direct and marked closed form
+        def families(n, N, inverse):
+            yield build_matrices(n, N, inverse=inverse)
+            if N in (1, 2):
+                yield build_matrices(n, N, route="closed_form", inverse=inverse)
+            for q in (0.4, 1.3):
+                hom, marked, distinct = _label_kinds(n, q)
+                for ctx in (hom, marked, distinct):
+                    yield build_matrices(n, N, ctx=ctx, inverse=inverse)
+                    yield build_matrices(n, N, route="direct", ctx=ctx, inverse=inverse)
+                if N == 1:
+                    yield build_matrices(n, N, route="closed_form", ctx=marked, inverse=inverse)
+
+        fields = ("generator", "inverse", "n", "N", "route", "backend", "phase", "q", "labels", "solve_residual")
+        digest = hashlib.md5()
+        for n, N, inverse in itertools.product(range(2, 5), range(3), (False, True)):
+            for mats in families(n, N, inverse):
+                for m in mats:
+                    entries = m.entries
+                    digest.update(repr([getattr(m, f) for f in fields] + [m.basis]).encode())
+                    digest.update(entries.tobytes() if isinstance(entries, np.ndarray) else repr(entries).encode())
+                digest.update(json.dumps(family_to_json(mats), sort_keys=True).encode())
+        assert digest.hexdigest() == "00d7514c437e7b265175469b099f2b62"
+
     def test_direct_series_formula(self, mctx3):
         rw = build_matrices(3, 2, route="rewrite", ctx=mctx3)
         dr = build_matrices(3, 2, route="direct", ctx=mctx3, formula="series")
@@ -1437,6 +1477,30 @@ class TestWords:
             evaluate_word([1, letter], f, b)
 
 
+_INDEX_CALLS = {
+    "slot": lambda ctx, v, i: apply_generator("a+", i, v).terms,
+    "k": lambda ctx, v, i: apply_intertwiner(i, v).terms,
+    "braid": lambda ctx, v, i: apply_braid_generator(i, v).terms,
+    "weight": lambda ctx, v, i: sigma_weight_matrix(ctx, 1, i),
+    "letter": lambda ctx, v, i: evaluate_word([i], build_matrices(3, 1), None)[0],
+    "position": lambda ctx, v, i: marked_context(3, *ctx.labels[:2], i, 0.6).labels,
+}
+
+
+@pytest.mark.parametrize("index", [True, 1.0, 1.5, Fraction(1), "1"])
+@pytest.mark.parametrize("call", sorted(_INDEX_CALLS))
+def test_indices_must_be_integers(mctx3, call, index):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _INDEX_CALLS[call](mctx3, basis_state(mctx3, (1, 0, 2)), index)
+
+
+@pytest.mark.parametrize("call", sorted(_INDEX_CALLS))
+def test_numpy_integer_indices_act_as_ints(mctx3, call):
+    v = basis_state(mctx3, (1, 0, 2))
+    a, b = (_INDEX_CALLS[call](mctx3, v, i) for i in (1, np.int64(1)))
+    assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 class TestPairChange:
     def test_three_strand_determinant(self):
         for s in (0.8, 2.5):
@@ -1510,6 +1574,22 @@ class TestSerialization:
         val = doc["matrices"][0]["entries"][0][0]
         assert isinstance(val, str)
         float(val)
+
+    @pytest.mark.parametrize("field, other", [
+        ("n", lambda mats: build_matrices(4, 1, ctx=homogeneous_context(4, 1.0, 0.5, 0.6))),
+        ("N", lambda mats: build_matrices(3, 2, ctx=homogeneous_context(3, 1.0, 0.5, 0.6))),
+        ("labels", lambda mats: build_matrices(3, 1)),
+        ("labels", lambda mats: build_matrices(3, 1, ctx=homogeneous_context(3, 1.2, 0.5, 0.6))),
+        ("q", lambda mats: build_matrices(3, 1, ctx=homogeneous_context(3, 1.0, 0.5, 0.7))),
+        ("route", lambda mats: build_matrices(3, 1, route="direct", ctx=homogeneous_context(3, 1.0, 0.5, 0.6))),
+        ("phase", lambda mats: build_matrices(3, 1, ctx=homogeneous_context(3, 1.0, 0.5, 0.6), inverse=True)),
+        ("basis", lambda mats: [dataclasses.replace(mats[1], basis=mats[1].basis[::-1])]),
+    ])
+    def test_family_rejects_mixed_members(self, field, other):
+        # every hoisted field is the family's, so members that differ in one are refused
+        mats = build_matrices(3, 1, ctx=homogeneous_context(3, 1.0, 0.5, 0.6))
+        with pytest.raises(BraidoscError, match="inconsistent %s$" % field):
+            family_to_json(mats + other(mats))
 
     def test_basis_labels_round_trip(self):
         doc = family_to_json(build_matrices(3, 2))

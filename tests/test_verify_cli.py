@@ -293,7 +293,9 @@ class TestCliVerify:
         rc = cli.main(["verify", "--suite", "spaces", "--seed", "7", "--report", str(dest)])
         assert rc == 0
         capsys.readouterr()
-        payload = json.loads(dest.read_text())
+        text = dest.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert len(payload) == 1
         assert payload[0]["suite"] == "spaces"
         assert payload[0]["seed"] == 7

@@ -522,6 +522,11 @@ class TestErrors:
         with pytest.raises(BraidoscError, match="leaves the codomain"):
             weightspace._operator_block(op, np.array(mctx3.distinct_sectors()), dom, cod)
 
+    def test_operator_matrix_rejects_image_outside_codomain(self, mctx3):
+        level = weight_basis(mctx3, 2, "all")
+        with pytest.raises(BraidoscError, match="support outside the basis"):
+            operator_matrix(lambda v: apply_coproduct("a+", v), level, level)
+
     def test_operator_block_rejects_negative_occupation(self, mctx3):
         # the level's total, but one slot below zero
         op = lambda sectors, occ: (np.zeros(1, np.intp), sectors, np.array([[3, -1, 0]]), np.ones((len(sectors), 1)))
