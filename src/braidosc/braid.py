@@ -343,7 +343,7 @@ def _read_entries(mat):
 def _store_entries(mat, value):
     if isinstance(value, np.ndarray):
         # a copy: the stored form never aliases an array the caller holds
-        value = _BlockMatrix(np.zeros(1, np.intp), np.array([value]))
+        value = _BlockMatrix.dense(np.array(value, order="C"))
     elif not isinstance(value, _BlockMatrix):
         value = _exact(value)
     vars(mat)["entries"] = value
@@ -353,15 +353,14 @@ def _store_entries(mat, value):
 BraidMatrix.entries = property(_read_entries, _store_entries)
 
 
-def _family(route, n, N, ctx, inverse, entries, sectors=None, residuals=None):
+def _family(route, n, N, ctx, inverse, entries, sectors, residuals=None):
     """Generators 1 .. n-1 with the given entries on the sector-major basis,
-    ``sectors`` (the identity arrangement by default) times
-    ``monomial_exponents(n, N)``; ctx None is the exact backend.  The phase
-    follows build_matrices: one unit per generator, minus one per inverse,
-    for homogeneous labels, trivial for others.
+    ``sectors`` times ``monomial_exponents(n, N)``; ctx None is the exact
+    backend.  The phase follows build_matrices: one unit per generator,
+    minus one per inverse, for homogeneous labels, trivial for others.
     """
     exps = monomial_exponents(n, N)
-    basis = [BasisElement(tuple(sec), powers) for sec in sectors or [tuple(range(n))] for powers in exps]
+    basis = [BasisElement(tuple(sec), powers) for sec in sectors for powers in exps]
     phase = Phase(-1 if inverse else 1) if ctx is None or ctx.is_homogeneous() else Phase()
     return [
         BraidMatrix(
@@ -524,7 +523,7 @@ def closed_form_burau(n, inverse=False):
         if r + 1 <= n - 2:
             M[r][r + 1] = xx
         mats.append(_ExactMatrix.from_laurent(M))
-    return _family("closed_form", n, 1, None, inverse, mats)
+    return _family("closed_form", n, 1, None, inverse, mats, [tuple(range(n))])
 
 
 def _lkb_image(i, a, b, xx):
@@ -581,7 +580,7 @@ def closed_form_lkb(n, inverse=False):
             for pair, val in _lkb_image(i, a, b, xx).items():
                 M[pidx[pair]][col] = val
         mats.append(_ExactMatrix.from_laurent(M))
-    return _family("closed_form", n, 2, None, inverse, mats)
+    return _family("closed_form", n, 2, None, inverse, mats, [tuple(range(n))])
 
 
 def _marked_case_images(i, k, j, d):
@@ -668,13 +667,12 @@ def closed_form_marked_n1(ctx, inverse=False):
     start = {sec.index(special_idx) + 1: s * (n - 1) for s, sec in enumerate(sectors)}
     mats = []
     for i in range(1, n):
-        # one dense block, as the constructor would store an array, but not copied
-        block = np.zeros((1,) + (len(sectors) * (n - 1),) * 2)
+        dense = np.zeros((len(sectors) * (n - 1),) * 2)
         for j, col in start.items():
             for k in range(1, n):
                 for (k2, j2), val in _marked_case_images(i, k, j, pack).items():
-                    block[0, start[j2] + k2 - 1, col + k - 1] = float(val)
-        mats.append(_BlockMatrix(np.zeros(1, np.intp), block))
+                    dense[start[j2] + k2 - 1, col + k - 1] = float(val)
+        mats.append(_BlockMatrix.dense(dense))
     return _family("closed_form", n, 1, ctx, inverse, mats, sectors)
 
 
@@ -947,13 +945,16 @@ class _BlockMatrix:
         blocks.flags.writeable = False
         self.target, self.blocks = target, blocks
 
+    @staticmethod
+    def dense(array):
+        """A dense array's stored form: one block with target [0], a view that makes the array read-only."""
+        array.flags.writeable = False
+        return _BlockMatrix(np.zeros(1, np.intp), array[None])
+
     def identity(self):
         """The identity with this matrix's sectors."""
         sectors, size, _ = self.blocks.shape
         return _BlockMatrix(np.arange(sectors), np.broadcast_to(np.eye(size), self.blocks.shape))
-
-    def flat(self):
-        return _BlockMatrix(np.zeros(1, np.intp), self.view()[None])
 
     def view(self):
         """The read-only sector-major array, new on each read; one sector's is its block."""
@@ -976,13 +977,13 @@ class _BlockMatrix:
         if not isinstance(other, _BlockMatrix):
             raise ValueError("%s @ %s: exact and numeric do not mix" % (type(self).__name__, type(other).__name__))
         if len(self.target) != len(other.target):
-            return self.flat() @ other.flat()
+            return _BlockMatrix.dense(self.view()) @ _BlockMatrix.dense(other.view())
         return _BlockMatrix(self.target[other.target], self.blocks[other.target] @ other.blocks)
 
     def max_diff(self, other):
         """Largest entry of |self - other|, and the largest of |self| and |other|."""
         if len(self.target) != len(other.target):
-            return self.flat().max_diff(other.flat())
+            return _BlockMatrix.dense(self.view()).max_diff(_BlockMatrix.dense(other.view()))
         mine, theirs = (np.abs(m.blocks).reshape(len(m.blocks), -1).max(axis=1) for m in (self, other))
         diff = self.blocks - other.blocks
         same = np.abs(diff, out=diff).reshape(len(diff), -1).max(axis=1)

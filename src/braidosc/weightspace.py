@@ -99,20 +99,21 @@ def weight_basis(ctx, N, sector=None):
 
 def coordinates(vec, basis):
     """Dense coordinate array of a vector over a basis or a state list."""
-    return _coordinate_matrix([vec], basis)[:, 0]
+    return _coordinate_matrix([vec], basis, 1, "F")[:, 0]
 
 
-def _coordinate_matrix(vectors, basis):
-    """Coordinates of the vectors as the columns of a len(basis) x len(vectors) array."""
+def _coordinate_matrix(vectors, basis, count, order):
+    """Coordinates of the count vectors, read one at a time, as the columns
+    of a len(basis) x count array in the given memory order ("C" or "F")."""
     idx = basis.index() if isinstance(basis, WeightSpaceBasis) else {s: i for i, s in enumerate(basis)}
-    out = np.zeros((len(vectors), len(idx)))
-    for row, vec in zip(out, vectors):
+    out = np.zeros((len(idx), count), order=order)
+    for row, vec in zip(out.T, vectors):
         for st, co in vec.terms.items():
             try:
                 row[idx[st]] = float(co)
             except KeyError:
                 raise BraidoscError("vector has support outside the basis: %r" % (st,))
-    return out.T
+    return out
 
 
 def from_coordinates(ctx, coords, basis):
@@ -127,7 +128,8 @@ def from_coordinates(ctx, coords, basis):
 
 def operator_matrix(op, domain, codomain):
     """Matrix of a state-to-vector map between orthonormal state bases."""
-    return _coordinate_matrix([op(basis_state(domain.ctx, st.occ, st.perm)) for st in domain.states], codomain)
+    images = (op(basis_state(domain.ctx, st.occ, st.perm)) for st in domain.states)
+    return _coordinate_matrix(images, codomain, len(domain), "C")
 
 
 def _occupations(N, n):
@@ -333,8 +335,8 @@ def span_residual(vectors, others):
         {st for v in list(vectors) + list(others) for st in v.terms},
         key=lambda s: (s.perm, s.occ),
     )
-    V = _coordinate_matrix(vectors, states)
-    W = _coordinate_matrix(others, states)
+    V = _coordinate_matrix(vectors, states, len(vectors), "F")
+    W = _coordinate_matrix(others, states, len(others), "F")
     norms = np.linalg.norm(V, axis=0)
     if not norms.all():
         raise ValueError("span_residual: vector %d is zero" % int(np.argmin(norms)))

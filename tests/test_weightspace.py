@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from braidosc.oscillator import (
     BraidoscError,
     Context,
     RepLabel,
+    WeightVector,
     apply_coproduct,
     homogeneous_context,
     marked_context,
@@ -119,6 +121,27 @@ class TestWeightBasis:
         coords = rng.standard_normal(len(basis.states))
         v = from_coordinates(hctx3, coords, basis)
         assert np.allclose(coordinates(v, basis), coords)
+
+    def test_operator_matrix_holds_one_image_at_a_time(self, mctx3):
+        # each image is dropped once its column is written; the matrix is
+        # C-ordered, its columns the coordinates of the images
+        dom, cod = weight_basis(mctx3, 2, "all"), weight_basis(mctx3, 1, "all")
+        live, images = [], []
+
+        class Image(WeightVector):
+            pass
+
+        def op(v):
+            assert sum(ref() is not None for ref in live) <= 1
+            image = Image(v.ctx)
+            image.terms = apply_coproduct("a-", v).terms
+            live.append(weakref.ref(image))
+            images.append(coordinates(image, cod))
+            return image
+
+        A = operator_matrix(op, dom, cod)
+        assert A.shape == (len(cod), len(dom)) and A.flags.c_contiguous
+        assert np.array_equal(A, np.column_stack(images)) and A.any()
 
 
 class TestNumericKernel:
