@@ -53,6 +53,7 @@ from .scalars import (
     Laurent,
     Phase,
     _check_integer,
+    _check_real,
     _check_size,
     nan_max,
 )
@@ -706,7 +707,6 @@ def reduced_burau_reference(n):
     bidiagonal coordinate system, whose diagonal is the unit t; kept
     independent from both the closed form and the rewrite engine.
     """
-    _check_size("n", n, 2)
     t = Laurent.x(2)
     t_inv = Laurent.x(-2)
     mats = []
@@ -754,8 +754,9 @@ def pair_basis_change(n, s):
     a nonzero scalar.  Reported, not asserted: invertibility of the map.
     """
     _check_size("n", n, 2)
-    if not math.isfinite(s) or s == 0:
-        raise ValueError("s must be finite and nonzero, got %r" % (s,))
+    _check_real("s", s)
+    if s == 0:
+        raise ValueError("s must be nonzero, got %r" % (s,))
     w_pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
     W_pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     Widx = {p: r for r, p in enumerate(W_pairs)}
@@ -772,7 +773,7 @@ def pair_basis_change(n, s):
             M[Widx[(i + 1, j + 1)], col] = s
             M[Widx[(i, j)], col] = 1.0 / s
             M[Widx[(i + 1, j)], col] = -1.0
-    det = float(np.linalg.det(M)) if M.shape[0] == M.shape[1] else float("nan")
+    det = float(np.linalg.det(M))
     cond = float(np.linalg.cond(M))
     return PairBasisChange(n, float(s), w_pairs, W_pairs, M, det, cond)
 
@@ -981,9 +982,7 @@ class _BlockMatrix:
         return _BlockMatrix(self.target[other.target], self.blocks[other.target] @ other.blocks)
 
     def max_diff(self, other):
-        """Largest entry of |self - other|, and the largest of |self| and |other|."""
-        if len(self.target) != len(other.target):
-            return _BlockMatrix.dense(self.view()).max_diff(_BlockMatrix.dense(other.view()))
+        """Largest entry of |self - other|, and the largest of |self| and |other| (equal sector counts)."""
         mine, theirs = (np.abs(m.blocks).reshape(len(m.blocks), -1).max(axis=1) for m in (self, other))
         diff = self.blocks - other.blocks
         same = np.abs(diff, out=diff).reshape(len(diff), -1).max(axis=1)

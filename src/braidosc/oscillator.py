@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 # BraidoscError is defined in scalars and re-exported here
-from .scalars import BraidoscError, _check_integer, _check_size, q_number
+from .scalars import BraidoscError, _check_integer, _check_real, _check_size, q_number
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class RepLabel:
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and math.isfinite(self.c)):
-            raise ValueError("label (gamma=%r, c=%r) must be finite" % (self.gamma, self.c))
+        _check_real("gamma", self.gamma)
+        _check_real("c", self.c)
         if self.gamma == 0:
             raise ValueError("gamma = 0 does not label an irreducible module")
 
@@ -59,7 +59,8 @@ class Context:
         for lab in self.labels:
             if not isinstance(lab, RepLabel):
                 raise TypeError("labels must be RepLabel instances")
-        if not math.isfinite(q) or q <= 0 or q == 1:
+        _check_real("q", q)
+        if q <= 0 or q == 1:
             raise ValueError("q must be finite, positive and different from 1, got %r" % (q,))
         self.q = q
         self.qn = tuple(q_number(lab.gamma, q) for lab in self.labels)
@@ -237,22 +238,6 @@ class WeightVector:
 
     def norm(self):
         return math.sqrt(self.inner(self)) if self.terms else 0.0
-
-    def sectors(self):
-        return sorted({st.perm for st in self.terms})
-
-    def to_json(self):
-        items = sorted(self.terms.items(), key=lambda kv: (kv[0].perm, kv[0].occ))
-        return {
-            "context": {
-                "labels": [[lab.gamma, lab.c] for lab in self.ctx.labels],
-                "q": float(self.ctx.q),
-            },
-            "terms": [
-                {"assignment": list(st.perm), "occ": list(st.occ), "coeff": repr(float(co))}
-                for st, co in items
-            ],
-        }
 
     def __repr__(self):
         bits = ", ".join(

@@ -31,6 +31,12 @@ def _check_integer(name, value):
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def _check_real(name, value):
+    """Raise ValueError unless ``value`` is a finite real number (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError("%s must be finite and real, got %r" % (name, value))
+
+
 def _check_size(name, value, low):
     """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
     _check_integer(name, value)
@@ -60,8 +66,8 @@ def lowest_weight_dimension(n, N):
 
 def counts(n, N):
     """(weight dimension, per-level lowest-weight dimensions 0..N)."""
-    per_level = [lowest_weight_dimension(n, j) for j in range(N + 1)]
-    return weight_dimension(n, N), per_level
+    total = weight_dimension(n, N)
+    return total, [lowest_weight_dimension(n, j) for j in range(N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +103,6 @@ def close(a, b, *, abs_tol=DEFAULT_TOLS.abs_zero, rel_tol=DEFAULT_TOLS.rel_zero)
     return abs(a - b) <= abs_tol + rel_tol * max(abs(a), abs(b))
 
 
-def is_zero(x, *, abs_tol=DEFAULT_TOLS.abs_zero, rel_tol=DEFAULT_TOLS.rel_zero, scale=0.0):
-    """Zero test with an optional problem scale for the relative part."""
-    return abs(float(x)) <= abs_tol + rel_tol * abs(scale)
-
-
 def nan_max(*values):
     """The largest value as a float, NaN if any is: ``max`` drops a NaN in all but first place."""
     values = [float(v) for v in values]
@@ -115,12 +116,12 @@ def q_number(gamma, q, *, classical=False):
     """The symmetric q-number (q**gamma - q**-gamma) / (q - 1/q).
 
     ``q = 1`` is a removable singularity and is rejected; callers wanting
-    the classical limit pass ``classical=True`` and get gamma back.  A
-    non-finite q or gamma is rejected.
+    the classical limit pass ``classical=True`` and get gamma back.  A q
+    or gamma that is not a finite real number is rejected.
     Invariant under q -> 1/q.
     """
-    if not (math.isfinite(gamma) and math.isfinite(q)):
-        raise ValueError("q and gamma must be finite, got q=%r gamma=%r" % (q, gamma))
+    _check_real("gamma", gamma)
+    _check_real("q", q)
     if classical:
         return gamma
     if q <= 0:
@@ -176,19 +177,6 @@ class Laurent:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def min_exp(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponent range")
-        return min(self.terms)
-
-    def max_exp(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponent range")
-        return max(self.terms)
-
-    def is_monomial(self):
-        return len(self.terms) == 1
 
     def coeff(self, e):
         return self.terms.get(e, 0)
@@ -261,7 +249,7 @@ class Laurent:
             return NotImplemented
         if n < 0:
             # the units of Z[x, 1/x] are +-x**k, each its coefficient's own inverse
-            if not self.is_monomial() or abs(next(iter(self.terms.values()))) != 1:
+            if len(self.terms) != 1 or abs(next(iter(self.terms.values()))) != 1:
                 raise ValueError("negative powers only for the units +-x**k")
             ((e, c),) = self.terms.items()
             return Laurent({n * e: c ** -n})
@@ -298,11 +286,8 @@ class Laurent:
 
     # -- presentation
 
-    def terms_list(self):
-        return sorted(self.terms.items())
-
     def to_json(self):
-        return {"terms": [[e, str(c)] for e, c in self.terms_list()]}
+        return {"terms": [[e, str(c)] for e, c in sorted(self.terms.items())]}
 
     @classmethod
     def from_json(cls, obj):
@@ -357,9 +342,6 @@ class Phase:
         if not isinstance(other, Phase):
             return NotImplemented
         return Phase(self.exponent + other.exponent)
-
-    def is_trivial(self):
-        return self.exponent == 0
 
     def value(self, q=None, gamma=None, c=None):
         """Numeric value; q, gamma, c are needed only for a nonzero exponent."""

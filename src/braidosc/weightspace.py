@@ -256,9 +256,8 @@ def lowest_weight_kernel(ctx, N, sector=None, tols=DEFAULT_TOLS):
     DimensionMismatchError if the kernel dimension is not the stars-and-
     bars count.
     """
-    _check_size("N", N, 0)
-    sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     expected = lowest_weight_dimension(ctx.n, N)
+    sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     A = _coproduct_block(ctx, "a-", sector, N, N - 1)
     _, svals, vt = np.linalg.svd(A)
     cut = tols.sv_cutoff * (svals[0] if len(svals) else 1.0)
@@ -379,6 +378,7 @@ def verify_decomposition(ctx, N, sector=None, tols=DEFAULT_TOLS):
     unit-column matrix, eigenvalue multiplicities of the Casimir matrix,
     and the measured (not asserted) off-block Gram overlap.
     """
+    _check_size("n", ctx.n, 2)
     _check_size("N", N, 0)
     sector = ctx.identity_perm() if sector is None else ctx.canonical_perm(sector)
     qn_total = q_number(ctx.gamma_total(), ctx.q)
@@ -495,11 +495,9 @@ def lowest_weight_kernel_exact(n, N):
     primitive as it stands, so nothing is solved or divided.  Checks the
     kernel dimension against the combinatorial count and that A v = 0.
     """
-    _check_size("n", n, 2)
-    _check_size("N", N, 0)
+    expected = lowest_weight_dimension(n, N)
     occs = compositions(N, n)
     free = [occ for occ in occs if occ[-1] == 0]
-    expected = lowest_weight_dimension(n, N)
     if len(free) != expected:
         raise DimensionMismatchError(
             "exact kernel dimension %d != expected %d" % (len(free), expected)

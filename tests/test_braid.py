@@ -1147,7 +1147,7 @@ class TestRoutes:
             kept = build_matrices(3, 1, ctx=hctx3, inverse=inverse)
             baked = _rewrite_by_sector(hctx3, 1, inverse, renormalize=False)
             for a, b in zip(kept, baked, strict=True):
-                assert not a.phase.is_trivial()
+                assert a.phase.exponent != 0
                 factor = a.phase.value(hctx3.q, lab.gamma, lab.c)
                 assert np.max(np.abs(factor * a.entries - b)) < 1e-13
 
@@ -1180,8 +1180,16 @@ class TestRoutes:
          "closed forms are exact"),
         (lambda: build_matrices(3, 1, backend="laurent", ctx=homogeneous_context(4, 1.0, 0.5, 0.6)),
          "n does not match"),
+        (lambda: build_matrices(3, 1, backend="laurent", route="direct"),
+         "exact backend supports the rewrite or closed_form route"),
+        (lambda: build_matrices(3, 1, backend="numeric"), "numeric backend requires a context"),
+        (lambda: build_matrices(3, 1, route="bogus", ctx=homogeneous_context(3, 1.0, 0.5, 0.6)),
+         "unknown route 'bogus'"),
+        (lambda: compare_transition_formulas(homogeneous_context(3, 1.0, 0.5, 0.6)),
+         "transition comparison uses a two-slot context"),
     ], ids=["backend-with-context", "backend-without-context", "word-on-empty-family",
-            "numeric-homogeneous-closed-form", "exact-context-of-other-n"])
+            "numeric-homogeneous-closed-form", "exact-context-of-other-n", "exact-direct-route",
+            "numeric-without-context", "unknown-route", "transition-comparison-on-three-slots"])
     def test_rejects_invalid_input(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -1244,7 +1252,7 @@ def test_routes_agree_on_both_sides_of_q_one(ctx, N):
                 A, B = mats[i], mats[j]
                 _assert_rounding_level(A @ B, B @ A, (A, B))
         for f, b in zip(fwd, inv):
-            assert (f.phase * b.phase).is_trivial()
+            assert (f.phase * b.phase).exponent == 0
             _assert_rounding_level(f.entries @ b.entries, np.eye(f.dimension), (f.entries, b.entries))
         families.append(fwd + inv)
     for a, b in zip(*families):
@@ -1459,7 +1467,7 @@ class TestWords:
     def test_empty_word_identity(self):
         f = build_matrices(3, 1)
         m, phase = evaluate_word([], f, None)
-        assert phase.is_trivial()
+        assert phase.exponent == 0
         assert str(m[0][0]) == "1" and str(m[0][1]) == "0"
 
     def test_rejects_zero_letter(self):
@@ -1522,6 +1530,7 @@ class TestPairChange:
     @pytest.mark.parametrize("n, s, match", [
         (1, 1.0, "n must be"), (0, 1.0, "n must be"),
         (3, float("nan"), "s must be finite"), (3, float("inf"), "s must be finite"),
+        (3, "1", "s must be finite and real, got '1'"),
     ])
     def test_rejects_bad_size_or_parameter(self, n, s, match):
         with pytest.raises(ValueError, match=match):

@@ -122,6 +122,27 @@ class TestContext:
         with pytest.raises(ValueError, match="finite"):
             homogeneous_context(3, 1.0, 0.5, q)
 
+    def test_accepts_numpy_reals(self):
+        ctx = Context([RepLabel(np.float32(1.0), np.float64(0.5))], np.float64(0.6))
+        assert close(ctx.qn[0], q_number(1.0, 0.6))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: RepLabel("1", 0.5), "gamma must be finite and real, got '1'"),
+    (lambda: RepLabel(None, 0.5), "gamma must be finite and real, got None"),
+    (lambda: RepLabel(1.0, True), "c must be finite and real, got True"),
+    (lambda: Context([RepLabel(1.0, 0.5)], "0.6"), "q must be finite and real, got '0.6'"),
+    (lambda: q_number(1.0, None), "q must be finite and real, got None"),
+    (lambda: Context([], 0.6), "need at least one representation label"),
+    (lambda: apply_generator("a+", 3, vacuum(homogeneous_context(2, G, C, Q))), "slot out of range"),
+    (lambda: vacuum(homogeneous_context(2, G, C, Q)) + vacuum(homogeneous_context(2, G, C, Q)),
+     "vectors from different contexts"),
+], ids=["label-gamma-str", "label-gamma-none", "label-c-bool", "context-q-str", "q-number-q-none",
+        "context-no-labels", "generator-slot-out-of-range", "sum-across-contexts"])
+def test_rejects_invalid_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
 
 def test_package_leaves_mpmath_unloaded():
     """Importing the package and building a numeric family touches no
@@ -311,9 +332,4 @@ class TestWeightVector:
 
     def test_sector_tracking(self, ctx3m):
         v = vacuum(ctx3m)
-        assert v.sectors() == [ctx3m.identity_perm()]
-
-    def test_json_shape(self, ctx2m):
-        js = basis_state(ctx2m, (1, 0)).to_json()
-        assert js["terms"][0]["occ"] == [1, 0]
-        assert "labels" in js["context"]
+        assert {st.perm for st in v.terms} == {ctx3m.identity_perm()}

@@ -14,6 +14,7 @@ import pytest
 import braidosc
 from braidosc import braid, cli, verify
 from braidosc.braid import build_matrices, family_to_json
+from braidosc.oscillator import homogeneous_context
 from braidosc.scalars import DEFAULT_TOLS, BraidoscError
 from braidosc.verify import SUITES, CheckResult, SuiteReport, run_suites, suite_braid
 
@@ -33,6 +34,10 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suites(["nonsense"])
+
+    def test_star_intertwiner_rejects_three_slots(self):
+        with pytest.raises(ValueError, match="two-slot check"):
+            verify.check_star_intertwiner(homogeneous_context(3, 1.0, 0.5, 0.6), 2, DEFAULT_TOLS)
 
     def test_deterministic_given_seed(self):
         a = suite_braid(seed=3).to_json()
@@ -249,6 +254,12 @@ class TestCliMatrix:
         with pytest.raises(SystemExit) as exc:
             cli.main(["matrix", "--n", "3", "--N", "1", "--het", "--backend", "laurent"])
         assert exc.value.code == 2
+
+    def test_label_count_must_equal_n(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["matrix", "--n", "3", "--N", "1", "--labels", "[[1.0, 0.5], [1.2, 0.7]]"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "label count must equal n\n"
 
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "fam.json"

@@ -501,9 +501,10 @@ class TestErrors:
             coordinates(v, basis)
 
     @pytest.mark.parametrize("N", [-1, 2.0, 1.5, True, None])
-    @pytest.mark.parametrize("fn", ["kernel_exact", "kernel", "monomials", "decomposition"])
+    @pytest.mark.parametrize("fn", ["kernel_exact", "kernel", "monomials", "decomposition", "counts"])
     def test_rejects_bad_level(self, fn, N, hctx3):
         call = {
+            "counts": lambda: counts(3, N),
             "kernel_exact": lambda: lowest_weight_kernel_exact(3, N),
             "kernel": lambda: lowest_weight_kernel(hctx3, N),
             "monomials": lambda: lowest_weight_monomials(hctx3, N),
@@ -533,7 +534,10 @@ class TestErrors:
         lambda: counts(1, 2),
         lambda: lowest_weight_monomials(homogeneous_context(1, 1.2, 0.7, 0.6), 0),
         lambda: lowest_weight_monomials(homogeneous_context(1, 1.2, 0.7, 0.6), 1),
-    ], ids=["lowest-weight-dimension", "weight-dimension", "counts", "monomials-level-0", "monomials-level-1"])
+        lambda: verify_decomposition(homogeneous_context(1, 1.2, 0.7, 0.6), 1),
+        lambda: verify_decomposition(homogeneous_context(1, 1.2, 0.7, 0.6), 2),
+    ], ids=["lowest-weight-dimension", "weight-dimension", "counts", "monomials-level-0", "monomials-level-1",
+            "decomposition-level-1", "decomposition-level-2"])
     def test_rejects_too_few_slots(self, call):
         with pytest.raises(ValueError, match="n must be"):
             call()
