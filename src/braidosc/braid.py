@@ -63,6 +63,7 @@ from .weightspace import (
     _operator_block,
     _rank,
     _sector_major,
+    _sector_numbers,
     _weight_matrix,
     lowest_weight_monomials,
     monomial_exponents,
@@ -378,7 +379,6 @@ def _matrices_rewrite(n, N, ctx, inverse):
     sectors = [tuple(range(n))] if exact else ctx.distinct_sectors()
     exps = monomial_exponents(n, N)
     d = len(exps)
-    number = {sec: k for k, sec in enumerate(sectors)}
     stack = np.array(sectors)
     sign = -1 if inverse else 1
     entries = []
@@ -401,13 +401,13 @@ def _matrices_rewrite(n, N, ctx, inverse):
             vacuum = 1.0 if ctx.is_homogeneous() else _qpow_each(ctx, -(ca * gb + cb * ga), inverse)
             blocks = np.zeros((len(sectors), d, d))
             blocks[:, row, col] = mult * math.prod(table[:, k, counts[k]] for k in range(5)) * vacuum
-            entries.append(_BlockMatrix(np.array([number[sec] for sec in map(tuple, targets.tolist())]), blocks))
+            entries.append(_BlockMatrix(_sector_numbers(targets), blocks))
     return _family("rewrite", n, N, ctx, inverse, entries, sectors)
 
 
 def _matrices_direct(n, N, ctx, inverse, formula, tols):
     sectors = ctx.distinct_sectors()
-    number = {sec: k for k, sec in enumerate(sectors)}
+    stack = np.array(sectors)
     exps = monomial_exponents(n, N)
     rows = _occupations(N, n)
     # monomial coordinates V and Gram matrices V^T V, one block per sector
@@ -417,8 +417,8 @@ def _matrices_direct(n, N, ctx, inverse, formula, tols):
     common = float(ctx.qpow(-2 * ctx.labels[0].c * ctx.labels[0].gamma, inverse)) if ctx.is_homogeneous() else 1.0
     entries, residuals = [], []
     for i in range(1, n):
-        targets, blocks = _operator_block(_braid_op(ctx, i, inverse, formula), np.array(sectors), rows, rows)
-        t = [number[sec] for sec in map(tuple, targets.tolist())]
+        targets, blocks = _operator_block(_braid_op(ctx, i, inverse, formula), stack, rows, rows)
+        t = _sector_numbers(targets)
         image, tV, tgram = blocks @ V, V[t], gram[t]
         tVT = tV.transpose(0, 2, 1)
         try:
@@ -436,7 +436,7 @@ def _matrices_direct(n, N, ctx, inverse, formula, tols):
                 "braid image leaves the lowest-weight span, residual %.2e: generator %d, sector %r, monomial %r"
                 % (worst, i, sectors[s], exps[m])
             )
-        entries.append(_BlockMatrix(np.array(t), coeffs / common))
+        entries.append(_BlockMatrix(t, coeffs / common))
         residuals.append(worst)
     return _family("direct", n, N, ctx, inverse, entries, sectors, residuals)
 
@@ -462,13 +462,15 @@ def build_matrices(
     from _family.  Route "closed_form" is Burau (N = 1) or LKB (N = 2) for
     homogeneous labels, the marked family for one marked label at N = 1.
     ``formula`` ("closed" or "series") picks the two-slot amplitude of the
-    direct route; the other routes check it and do not use it.  What a
-    route would ignore raises ValueError: a context of another n, and
-    homogeneous labels on the numeric closed-form route.
+    direct route.  What a route would ignore raises ValueError: a context
+    of another n, formula "series" off the direct route, and homogeneous
+    labels on the numeric closed-form route.
     """
     _check_size("n", n, 2)
     _check_size("N", N, 0)
     _check_formula(formula)
+    if formula != "closed" and route != "direct":
+        raise ValueError("formula %r picks the direct route's amplitude; the %r route ignores it" % (formula, route))
     if backend is None:
         backend = "numeric" if ctx is not None else "laurent"
     if backend not in ("laurent", "numeric"):
@@ -663,17 +665,19 @@ def closed_form_marked_n1(ctx, inverse=False):
     pack = (qg1, qg2, d1, d2, d3)
 
     sectors = ctx.distinct_sectors()
-    # w_k^{(j)} sits at offset k - 1 (the level-1 monomials run O_1 .. O_{n-1}) in
-    # the block of the sector whose 1-based slot j holds the special label's index
-    start = {sec.index(special_idx) + 1: s * (n - 1) for s, sec in enumerate(sectors)}
+    # w_k^{(j)} is row k - 1 of the block of sector[j - 1], whose 1-based slot j holds the special label
+    slot = [sec.index(special_idx) + 1 for sec in sectors]
+    sector = np.argsort(slot)
     mats = []
     for i in range(1, n):
-        dense = np.zeros((len(sectors) * (n - 1),) * 2)
-        for j, col in start.items():
+        target = np.empty(len(sectors), np.intp)
+        blocks = np.zeros((len(sectors), n - 1, n - 1))
+        for s, j in enumerate(slot):
             for k in range(1, n):
                 for (k2, j2), val in _marked_case_images(i, k, j, pack).items():
-                    dense[start[j2] + k2 - 1, col + k - 1] = float(val)
-        mats.append(_BlockMatrix.dense(dense))
+                    target[s] = sector[j2 - 1]
+                    blocks[s, k2 - 1, k - 1] = float(val)
+        mats.append(_BlockMatrix(target, blocks))
     return _family("closed_form", n, 1, ctx, inverse, mats, sectors)
 
 
@@ -935,9 +939,9 @@ class _BlockMatrix:
     """Float matrix that maps each column sector into one row sector.
 
     Column sector s has its only nonzero block, ``blocks[s]``, in row
-    sector ``target[s]``.  Both numeric routes store this form; an array
-    given to BraidMatrix is one block (``target == [0]``), so every float
-    matrix has it.  A family's blocks own read-only memory.
+    sector ``target[s]``.  Both numeric routes and the marked closed form
+    store this form; an array given to BraidMatrix is one block (``target ==
+    [0]``), so every float matrix has it.  A family's blocks own read-only memory.
     """
 
     __slots__ = ("target", "blocks")

