@@ -476,7 +476,7 @@ def build_matrices(
     if backend not in ("laurent", "numeric"):
         raise ValueError("backend must be 'laurent' or 'numeric', got %r" % (backend,))
     if ctx is not None and n != ctx.n:
-        raise ValueError("n does not match the context")
+        raise ValueError("n does not match the context: n = %d, %d labels" % (n, ctx.n))
     if backend == "laurent":
         if ctx is not None and not ctx.is_homogeneous():
             raise ValueError("exact backend requires homogeneous labels")
@@ -1029,8 +1029,10 @@ def braid_relation_defect(mats):
     """
     if not mats:
         raise ValueError("empty generator family")
-    by_gen = {m.generator: _operand(m) for m in mats}
     n = mats[0].n
+    if sorted(m.generator for m in mats) != list(range(1, n)):
+        raise ValueError("a family lists generators 1 .. %d once each, got %r" % (n - 1, [m.generator for m in mats]))
+    by_gen = {m.generator: _operand(m) for m in mats}
     worst = 0.0
     for i in range(1, n - 1):
         A, B = by_gen[i], by_gen[i + 1]

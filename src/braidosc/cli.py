@@ -5,9 +5,10 @@ matrices), ``dims`` (dimension tables), ``verify`` (run verification
 suites), and ``word`` (evaluate a braid word as an ordered matrix
 product).  JSON is the canonical interchange format; CSV entry export
 is numeric-only and lossy.  Exit codes: 0 success, 1 invariant
-violation or int64 overflow of an exact coefficient during computation,
-2 invalid configuration (unknown options, n < 2, N < 0, non-finite q or
-labels, out-of-range word letters, options the chosen route ignores).
+violation or int64 overflow of an exact coefficient, 2 invalid input:
+unknown options, n < 2, N < 0, an invalid q or label on either backend,
+unequal labels on the exact backend, a label count other than n, bad
+word letters, options the route ignores, an output path it cannot open.
 
 Each command imports what it runs: ``dims`` and ``--help`` load neither
 numpy nor an operator module.
@@ -19,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .scalars import DEFAULT_TOLS, BraidoscError, counts
+from .scalars import BraidoscError, counts
 
 
 def _rep_args(p):
@@ -45,14 +46,9 @@ def _build_context(args):
 
     if args.labels:
         try:
-            pairs = json.loads(args.labels)
-            labels = tuple(RepLabel(float(g), float(c)) for g, c in pairs)
+            labels = tuple(RepLabel(float(g), float(c)) for g, c in json.loads(args.labels))
         except (ValueError, TypeError) as exc:
-            print("bad --labels: %s" % exc, file=sys.stderr)
-            raise SystemExit(2)
-        if len(labels) != args.n:
-            print("label count must equal n", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError("bad --labels: %s" % exc) from None
         return Context(labels, args.q)
     if args.het:
         return marked_context(
@@ -63,17 +59,10 @@ def _build_context(args):
 
 
 def _build_family(args, inverse):
-    backend = args.backend or "numeric"
-    if backend == "laurent" and (args.het or args.labels):
-        print("laurent backend requires homogeneous labels", file=sys.stderr)
-        raise SystemExit(2)
     from .braid import build_matrices
 
-    return build_matrices(
-        args.n, args.N, route=args.route, backend=backend,
-        ctx=_build_context(args) if backend == "numeric" else None,
-        inverse=inverse,
-    )
+    return build_matrices(args.n, args.N, route=args.route, backend=args.backend,
+                          ctx=_build_context(args), inverse=inverse)
 
 
 def _json_text(obj):
@@ -107,24 +96,26 @@ def _json_text(obj):
 
 
 def _emit(text, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not path:
+        return sys.stdout.write(text)
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc.strerror)) from None
+    with fh:
+        fh.write(text)
 
 
 def cmd_matrix(args):
     from .braid import family_to_json
 
+    if args.format == "csv" and args.backend == "laurent":
+        raise ValueError("csv export is numeric-only; use --backend numeric or --format json")
     mats = _build_family(args, args.inverse)
     if args.format == "json":
         _emit(_json_text(family_to_json(mats)) + "\n", args.output)
         return 0
     # csv: one block per generator, decimal entries
-    if mats[0].backend != "numeric":
-        print("csv export is numeric-only; use --backend numeric or --format json", file=sys.stderr)
-        return 2
     print("warning: csv is lossy (decimal); json is the canonical format", file=sys.stderr)
     lines = []
     for m in mats:
@@ -153,15 +144,15 @@ def cmd_dims(args):
 def cmd_verify(args):
     from .verify import run_suites
 
-    reports = run_suites(args.suite, seed=args.seed, tols=DEFAULT_TOLS)
+    reports = run_suites(args.suite, seed=args.seed)
+    if args.report:
+        _emit(_json_text([rep.to_json() for rep in reports]) + "\n", args.report)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print("suite %-8s %s (%d checks)" % (rep.suite, status, len(rep.checks)))
         for chk in rep.checks:
             if not chk.passed:
                 print("  failed: %s residual=%s" % (chk.name, chk.residual))
-    if args.report:
-        _emit(_json_text([rep.to_json() for rep in reports]) + "\n", args.report)
     ok = all(rep.passed for rep in reports)
     print("ALL PASS" if ok else "FAILURES PRESENT")
     return 0 if ok else 1

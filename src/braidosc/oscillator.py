@@ -145,11 +145,13 @@ class Context:
 
 def homogeneous_context(n, gamma, c, q):
     """Context with n equal labels."""
+    _check_size("n", n, 1)
     return Context([RepLabel(gamma, c)] * n, q)
 
 
 def marked_context(n, base, special, position, q):
     """Context with one distinguished label at the given slot (1-based)."""
+    _check_size("n", n, 1)
     _check_integer("position", position)
     if not 1 <= position <= n:
         raise ValueError("position out of range")

@@ -120,6 +120,8 @@ def from_coordinates(ctx, coords, basis):
     """Vector with one term per nonzero coordinate over a basis or a state list."""
     states = basis.states if isinstance(basis, WeightSpaceBasis) else basis
     coords = np.asarray(coords, dtype=float)
+    if coords.shape != (len(states),):
+        raise ValueError("one coordinate per state: %d states, coordinates of shape %r" % (len(states), coords.shape))
     nonzero = np.flatnonzero(coords)
     vec = WeightVector(ctx)
     vec.terms = {states[i]: c for i, c in zip(nonzero.tolist(), coords[nonzero].tolist())}

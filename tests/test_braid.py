@@ -1191,7 +1191,7 @@ class TestRoutes:
         (lambda: build_matrices(3, 1, route="closed_form", ctx=homogeneous_context(3, 1.0, 0.5, 0.6)),
          "closed forms are exact"),
         (lambda: build_matrices(3, 1, backend="laurent", ctx=homogeneous_context(4, 1.0, 0.5, 0.6)),
-         "n does not match"),
+         "n does not match the context: n = 3, 4 labels"),
         (lambda: build_matrices(3, 1, backend="laurent", route="direct"),
          "exact backend supports the rewrite or closed_form route"),
         (lambda: build_matrices(3, 1, backend="numeric"), "numeric backend requires a context"),
@@ -1206,11 +1206,15 @@ class TestRoutes:
         (lambda: build_matrices(3, 1, route="closed_form", formula="series",
                                 ctx=marked_context(3, RepLabel(1.0, 0.5), RepLabel(1.5, 0.8), 1, 0.6)),
          "the 'closed_form' route ignores it"),
+        (lambda: braid_relation_defect(build_matrices(3, 1)[:1]),
+         r"a family lists generators 1 \.\. 2 once each, got \[1\]"),
+        (lambda: braid_relation_defect([build_matrices(3, 1)[0]] * 2),
+         r"a family lists generators 1 \.\. 2 once each, got \[1, 1\]"),
     ], ids=["backend-with-context", "backend-without-context", "word-on-empty-family",
             "numeric-homogeneous-closed-form", "exact-context-of-other-n", "exact-direct-route",
             "numeric-without-context", "unknown-route", "transition-comparison-on-three-slots",
             "series-on-numeric-rewrite", "series-on-exact-rewrite", "series-on-exact-closed-form",
-            "series-on-marked-closed-form"])
+            "series-on-marked-closed-form", "relations-on-missing-generator", "relations-on-repeated-generator"])
     def test_rejects_invalid_input(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()

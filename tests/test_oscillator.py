@@ -134,11 +134,15 @@ class TestContext:
     (lambda: Context([RepLabel(1.0, 0.5)], "0.6"), "q must be finite and real, got '0.6'"),
     (lambda: q_number(1.0, None), "q must be finite and real, got None"),
     (lambda: Context([], 0.6), "need at least one representation label"),
+    (lambda: homogeneous_context(True, G, C, Q), "n must be an integer"),
+    (lambda: homogeneous_context(2.5, G, C, Q), "n must be an integer"),
+    (lambda: marked_context(2.5, RepLabel(G, C), RepLabel(1.5, 0.8), 1, Q), "n must be an integer"),
     (lambda: apply_generator("a+", 3, vacuum(homogeneous_context(2, G, C, Q))), "slot out of range"),
     (lambda: vacuum(homogeneous_context(2, G, C, Q)) + vacuum(homogeneous_context(2, G, C, Q)),
      "vectors from different contexts"),
 ], ids=["label-gamma-str", "label-gamma-none", "label-c-bool", "context-q-str", "q-number-q-none",
-        "context-no-labels", "generator-slot-out-of-range", "sum-across-contexts"])
+        "context-no-labels", "homogeneous-n-bool", "homogeneous-n-float", "marked-n-float",
+        "generator-slot-out-of-range", "sum-across-contexts"])
 def test_rejects_invalid_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -251,15 +251,19 @@ class TestCliMatrix:
                 float(tok)
 
     def test_laurent_rejects_marked_labels(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["matrix", "--n", "3", "--N", "1", "--het", "--backend", "laurent"])
-        assert exc.value.code == 2
+        assert cli.main(["matrix", "--n", "3", "--N", "1", "--het", "--backend", "laurent"]) == 2
+        assert capsys.readouterr().err == "exact backend requires homogeneous labels\n"
 
     def test_label_count_must_equal_n(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["matrix", "--n", "3", "--N", "1", "--labels", "[[1.0, 0.5], [1.2, 0.7]]"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == "label count must equal n\n"
+        assert cli.main(["matrix", "--n", "3", "--N", "1", "--labels", "[[1.0, 0.5], [1.2, 0.7]]"]) == 2
+        assert capsys.readouterr().err == "n does not match the context: n = 3, 2 labels\n"
+
+    def test_laurent_takes_equal_labels(self, capsys):
+        argv = ["matrix", "--n", "4", "--N", "2", "--backend", "laurent"]
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+        assert cli.main(argv + ["--labels", "[[2.0,0.3],[2.0,0.3],[2.0,0.3],[2.0,0.3]]"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_output_file(self, tmp_path, capsys):
         dest = tmp_path / "fam.json"
@@ -332,6 +336,13 @@ class TestCliInvalidInput:
         ["dims", "--n", "1"],
         ["dims", "--n", "3", "--N", "-1"],
         ["word", "--n", "3", "--N", "1", "--word", "1 x"],
+        ["matrix", "--n", "3", "--N", "1", "--backend", "laurent", "--q", "nan"],
+        ["matrix", "--n", "3", "--N", "1", "--backend", "laurent", "--q", "1"],
+        ["matrix", "--n", "3", "--N", "1", "--backend", "laurent", "--gamma", "inf"],
+        ["word", "--n", "3", "--N", "1", "--backend", "laurent", "--q", "nan", "--word", "1"],
+        # a path below a regular file cannot be opened
+        ["matrix", "--n", "3", "--N", "1", "--output", os.path.join(__file__, "x.json")],
+        ["verify", "--suite", "algebra", "--report", os.path.join(__file__, "r.json")],
     ])
     def test_exits_two(self, argv, capsys):
         try:

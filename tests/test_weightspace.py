@@ -283,6 +283,13 @@ def test_from_coordinates_keeps_every_nonzero_term(hctx3):
     assert [repr(v) for v in got.terms.values()] == [repr(v) for v in want.terms.values()]
 
 
+@pytest.mark.parametrize("size", [9, 11], ids=["short", "long"])
+def test_from_coordinates_needs_one_coordinate_per_state(hctx3, size):
+    basis = weight_basis(hctx3, 3)
+    with pytest.raises(ValueError, match=r"one coordinate per state: 10 states, coordinates of shape \(%d,\)" % size):
+        from_coordinates(hctx3, np.ones(size), basis)
+
+
 class TestDecomposition:
     def test_three_slots_level_three(self, hctx3):
         rep = verify_decomposition(hctx3, 3, None, DEFAULT_TOLS)
