@@ -15,7 +15,10 @@ The grid, each item hashed with a key naming it:
 * at n <= 4 and N <= 2 on the same contexts: ``sigma_weight_matrix`` of
   every generator in both directions, the blocks and Grams of
   ``lowest_weight_monomials(ctx, N, "all")``, and per sector the
-  ``lowest_weight_kernel`` block and ``verify_decomposition`` report;
+  ``lowest_weight_kernel`` block, the ``verify_decomposition`` report, the
+  (state, coefficient) pairs of the kernel's and the sector monomials'
+  ``vectors`` (the tensor-coordinate layer) and both ``span_residual``
+  values between them;
 * ``run_suites("all")`` at seeds 0 and 672296719, without
   ``runtime_seconds``.
 
@@ -52,7 +55,7 @@ def digest(n_max=5, N_max=3):
     import numpy as np
     from braidosc import (
         BraidoscError, build_matrices, closed_form_marked_n1, lowest_weight_kernel, lowest_weight_monomials,
-        verify_decomposition,
+        span_residual, verify_decomposition,
     )
     from braidosc.braid import family_to_json, sigma_weight_matrix
     from braidosc.verify import run_suites
@@ -100,8 +103,12 @@ def digest(n_max=5, N_max=3):
             lw = lowest_weight_monomials(ctx, N, "all")
             add(key + ("monomials",), lw.blocks.tobytes(), lw.grams.tobytes())
             for sector in ctx.distinct_sectors():
-                add(key + ("kernel", sector), lowest_weight_kernel(ctx, N, sector).blocks.tobytes())
+                kernel, mono = lowest_weight_kernel(ctx, N, sector), lowest_weight_monomials(ctx, N, sector)
+                add(key + ("kernel", sector), kernel.blocks.tobytes())
                 add(key + ("decomposition", sector), verify_decomposition(ctx, N, sector).to_json())
+                kv, mv = kernel.vectors, mono.vectors
+                add(key + ("vectors", sector), *(repr([list(v.terms.items()) for v in vs]).encode() for vs in (kv, mv)))
+                add(key + ("span", sector), span_residual(mv, kv), span_residual(kv, mv))
     for seed in SEEDS:
         for report in run_suites("all", seed=seed):
             out = report.to_json()

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,8 +185,9 @@ def sigma_weight_matrix(ctx, N, i, *, inverse=False, formula="closed"):
     return _weight_matrix(_braid_op(ctx, i, inverse, formula), ctx, N, N)
 
 
-def compare_transition_formulas(ctx, m_max=3):
-    """Tabulate the two closed-form binomial variants against the series.
+def compare_transition_formulas(ctx):
+    """Tabulate the two closed-form binomial variants against the series
+    on every input with both occupations at most 3.
 
     Returns a dict with the largest series-vs-multiset deviation on k <= 1
     output components, the first disagreeing element (input occupations,
@@ -194,9 +196,8 @@ def compare_transition_formulas(ctx, m_max=3):
     """
     if ctx.n != 2:
         raise ValueError("transition comparison uses a two-slot context")
-    _check_size("m_max", m_max, 0)
     perm = np.array([ctx.identity_perm()])
-    occ = np.array([(m, mp) for m in range(m_max + 1) for mp in range(m_max + 1)])
+    occ = np.array([(m, mp) for m in range(4) for mp in range(4)])
     src, _, rows, (closed,) = _braid_closed(ctx, 0, False, "series", perm, occ)
     (multiset,) = _braid_closed(ctx, 0, False, "multiset", perm, occ)[3]
     # closed-form terms run by input and then k; put the series terms in that order
@@ -224,8 +225,7 @@ def compare_transition_formulas(ctx, m_max=3):
 # ---------------------------------------------------------------------------
 # rewrite route: generators through intertwiner monomials
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """Lowest-weight basis label: sector arrangement plus monomial powers."""
 
     sector: tuple

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class Context:
             raise ValueError("need at least one representation label")
         for lab in self.labels:
             if not isinstance(lab, RepLabel):
-                raise TypeError("labels must be RepLabel instances")
+                raise ValueError("labels must be RepLabel instances, got %r" % (lab,))
         _check_real("q", q)
         if q <= 0 or q == 1:
             raise ValueError("q must be finite, positive and different from 1, got %r" % (q,))
@@ -160,8 +161,7 @@ def marked_context(n, base, special, position, q):
     return Context(labels, q)
 
 
-@dataclass(frozen=True)
-class TensorState:
+class TensorState(NamedTuple):
     """Product basis state: arrangement plus occupation numbers per slot."""
 
     perm: tuple
@@ -244,7 +244,7 @@ class WeightVector:
     def __repr__(self):
         bits = ", ".join(
             "%s%s: %.6g" % (st.occ, "" if st.perm == self.ctx.identity_perm() else st.perm, co)
-            for st, co in sorted(self.terms.items(), key=lambda kv: (kv[0].perm, kv[0].occ))
+            for st, co in sorted(self.terms.items())
         )
         return "WeightVector{%s}" % bits
 
@@ -388,8 +388,11 @@ def apply_intertwiner(k, vec):
 
 
 def apply_monomial(powers, vec):
-    """Apply a product of intertwiners with the given exponents (index k-1)."""
+    """Apply the intertwiner product of the O_k**powers[k-1], one integer power >= 0 per k < n."""
+    if len(powers) != vec.ctx.n - 1:
+        raise ValueError("need %d powers, got %r" % (vec.ctx.n - 1, powers))
     for k, e in enumerate(powers, start=1):
+        _check_size("power", e, 0)
         for _ in range(e):
             vec = apply_intertwiner(k, vec)
     return vec

@@ -112,22 +112,18 @@ def nan_max(*values):
 # ---------------------------------------------------------------------------
 # q-deformed numbers
 
-def q_number(gamma, q, *, classical=False):
+def q_number(gamma, q):
     """The symmetric q-number (q**gamma - q**-gamma) / (q - 1/q).
 
-    ``q = 1`` is a removable singularity and is rejected; callers wanting
-    the classical limit pass ``classical=True`` and get gamma back.  A q
-    or gamma that is not a finite real number is rejected.
-    Invariant under q -> 1/q.
+    ``q = 1`` is a removable singularity and is rejected, as is a q or
+    gamma that is not a finite real number.  Invariant under q -> 1/q.
     """
     _check_real("gamma", gamma)
     _check_real("q", q)
-    if classical:
-        return gamma
     if q <= 0:
         raise ValueError("q must be positive, got %r" % (q,))
     if q == 1:
-        raise ValueError("q=1 is a removable singularity; use classical=True")
+        raise ValueError("q=1 is a removable singularity")
     return (q ** gamma - q ** (-gamma)) / (q - 1 / q)
 
 
@@ -141,10 +137,10 @@ class Laurent:
     the fashion of a sparse polynomial table.  Exponents may be negative.
     Supports ring arithmetic, substitution x -> 1/x, numeric evaluation (a
     float) and a stable JSON form; ``coeff`` of a missing exponent is 0.
-    Coefficients are ``numbers.Integral``, numpy ints included, stored as
-    ``int``: a rational, float or str raises TypeError, and ``from_json``
-    reads integer strings only.  Only the units +-x**k have negative powers;
-    any other raises ValueError.
+    Coefficients and exponents are ``numbers.Integral``, numpy ints
+    included, stored as ``int``: a rational, float or str raises TypeError,
+    and ``from_json`` reads integer strings only.  Only the units +-x**k
+    have negative powers; any other raises ValueError.
     """
 
     __slots__ = ("terms",)
@@ -155,6 +151,8 @@ class Laurent:
             for e, c in terms.items():
                 if not isinstance(c, numbers.Integral):
                     raise TypeError("Laurent coefficients must be integers, got %r" % (c,))
+                if not isinstance(e, numbers.Integral):
+                    raise TypeError("Laurent exponents must be integers, got %r" % (e,))
                 if c:
                     data[int(e)] = int(c)
         self.terms = data

@@ -118,6 +118,14 @@ def _rel(num, scale):
     return float(num / max(scale, 1e-300))
 
 
+# sizes that a suite's report states, read by the checks that run them
+OCCUPATION_MAX = 4
+HOMOGENEOUS_GRID = (5, 4)  # n_max, level_max
+MARKED_GRID = (4, 3)
+RELATION_SLOTS, RELATION_LEVEL_MAX = (3, 4, 5), 3
+DRAWS = 5
+
+
 def _coproduct(ctx, gen, N, M):
     """Coproduct generator from level N to level M, every sector."""
     return _weight_matrix(lambda perm, occ: _coproduct_terms(ctx, gen, perm, occ), ctx, N, M)
@@ -131,7 +139,7 @@ def _intertwiner(ctx, k, N):
 # ---------------------------------------------------------------------------
 # algebra suite checks
 
-def check_ladder_commutators(ctx, occ_max, tols):
+def check_ladder_commutators(ctx, tols):
     """[lower, raise] = q-number of the total Gamma grading, plus the
     number-operator and centrality commutators, on every weight space."""
     qn_tot = q_number(ctx.gamma_total(), ctx.q)
@@ -141,7 +149,7 @@ def check_ladder_commutators(ctx, occ_max, tols):
         return float(np.max(np.linalg.norm(resid, axis=0) / (1.0 + np.linalg.norm(image, axis=0))))
 
     worst = 0.0
-    for N in range(occ_max + 1):
+    for N in range(OCCUPATION_MAX + 1):
         up, dn = _coproduct(ctx, "a+", N, N + 1), _coproduct(ctx, "a-", N, N - 1)
         num, num_up, num_dn = (_coproduct(ctx, "e", M, M) for M in (N, N + 1, N - 1))
         comm = _coproduct(ctx, "a-", N + 1, N) @ up - _coproduct(ctx, "a+", N - 1, N) @ dn
@@ -153,12 +161,12 @@ def check_ladder_commutators(ctx, occ_max, tols):
     return CheckResult("ladder_commutators_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
 
-def check_intertwiner_identities(ctx, occ_max, tols, rng):
+def check_intertwiner_identities(ctx, tols, rng):
     """The intertwiner commutes with lowering and raising, shifts the
     number operator by one, and distinct copies commute."""
     worst = 0.0
     norm = np.linalg.norm
-    for N in range(occ_max + 1):
+    for N in range(OCCUPATION_MAX + 1):
         # a random vector over weight_basis(ctx, N, "all")
         v = rng.standard_normal(len(ctx.distinct_sectors()) * weight_dimension(ctx.n, N))
         low = _coproduct(ctx, "a-", N, N - 1), _coproduct(ctx, "a-", N + 1, N)
@@ -179,12 +187,12 @@ def check_intertwiner_identities(ctx, occ_max, tols, rng):
     return CheckResult("intertwiner_identities_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
 
-def check_casimir_levels(ctx, level_max, raise_max, tols):
-    """Casimir eigenvalue on raised level-j vectors is the q-number of
-    total Gamma times (total c + j), independent of the raising count."""
+def check_casimir_levels(ctx, raise_max, tols):
+    """Casimir eigenvalue on raised level-j vectors (j <= 2) is the q-number
+    of total Gamma times (total c + j), independent of the raising count."""
     worst = 0.0
     qn_tot = q_number(ctx.gamma_total(), ctx.q)
-    for j in range(level_max + 1):
+    for j in range(3):
         eig = qn_tot * (ctx.c_total() + j)
         for v in lowest_weight_kernel(ctx, j, None, tols).vectors:
             u = v
@@ -195,32 +203,32 @@ def check_casimir_levels(ctx, level_max, raise_max, tols):
     return CheckResult("casimir_levels_n%d" % ctx.n, worst < tols.operator_identity, worst)
 
 
-def check_hermiticity(tols, q=0.5, gamma=1.0, c=1.0):
+def check_hermiticity(tols, q=0.5):
     """Raising and lowering are mutual adjoints in the occupation basis,
-    both slot-wise and through the coproduct, at the stated parameters."""
+    both slot-wise and through the coproduct, at gamma = c = 1 and the given q."""
     worst = 0.0
-    ctx1 = homogeneous_context(1, gamma, c, q)
+    ctx1 = homogeneous_context(1, 1.0, 1.0, q)
     for m in range(5):
         vm, vm1 = basis_state(ctx1, (m,)), basis_state(ctx1, (m + 1,))
         lhs = apply_generator("a+", 1, vm).inner(vm1)
         rhs = vm.inner(apply_generator("a-", 1, vm1))
         worst = nan_max(worst, abs(float(lhs - rhs)) / (1.0 + abs(float(lhs))))
-    ctx2 = homogeneous_context(2, gamma, c, q)
+    ctx2 = homogeneous_context(2, 1.0, 1.0, q)
     for N in range(4):
         up, down = _coproduct(ctx2, "a+", N, N + 1), _coproduct(ctx2, "a-", N + 1, N)
         worst = nan_max(worst, _rel(np.max(np.abs(up - down.T)), np.max(np.abs(up))))
     return CheckResult("hermiticity_q%.2f" % q, worst < tols.operator_identity, worst)
 
 
-def check_star_intertwiner(ctx, occ_max, tols):
+def check_star_intertwiner(ctx, tols):
     """[adjoint of O, O] acts as the q-number of the summed Gamma labels
     on two slots (checked level by level through matrices)."""
     if ctx.n != 2:
         raise ValueError("two-slot check")
     eig = q_number(ctx.gamma_total(), ctx.q)
-    mats = [_intertwiner(ctx, 1, N) for N in range(occ_max + 1)]
+    mats = [_intertwiner(ctx, 1, N) for N in range(4)]
     worst = 0.0
-    for N in range(occ_max):
+    for N in range(3):
         A = mats[N]
         lhs = A.T @ A
         if N > 0:
@@ -255,20 +263,20 @@ def suite_algebra(seed=0, tols=DEFAULT_TOLS):
     report = SuiteReport(
         "algebra",
         seed,
-        {"occupation_max": 4, "tolerances": asdict(tols)},
+        {"occupation_max": OCCUPATION_MAX, "tolerances": asdict(tols)},
     )
     q, g1, c1 = _draw(rng)
     ctx2h = homogeneous_context(2, g1, c1, q)
     ctx2m = Context((RepLabel(g1, c1), RepLabel(g1 + 0.4, c1 + 0.3)), q)
     ctx3 = _draw_marked(rng, 3)
-    report.checks.append(check_ladder_commutators(ctx2m, 4, tols))
-    report.checks.append(check_ladder_commutators(ctx3, 4, tols))
-    report.checks.append(check_intertwiner_identities(ctx2m, 4, tols, rng))
-    report.checks.append(check_intertwiner_identities(ctx3, 4, tols, rng))
-    report.checks.append(check_casimir_levels(ctx2h, 2, 3, tols))
-    report.checks.append(check_casimir_levels(ctx3, 2, 2, tols))
+    report.checks.append(check_ladder_commutators(ctx2m, tols))
+    report.checks.append(check_ladder_commutators(ctx3, tols))
+    report.checks.append(check_intertwiner_identities(ctx2m, tols, rng))
+    report.checks.append(check_intertwiner_identities(ctx3, tols, rng))
+    report.checks.append(check_casimir_levels(ctx2h, 3, tols))
+    report.checks.append(check_casimir_levels(ctx3, 2, tols))
     report.checks.append(check_hermiticity(tols))
-    report.checks.append(check_star_intertwiner(ctx2m, 3, tols))
+    report.checks.append(check_star_intertwiner(ctx2m, tols))
     report.checks.append(check_orthonormality_two_slots(ctx2h, 2, tols))
     report.runtime_seconds = time.perf_counter() - t0
     return report
@@ -277,20 +285,22 @@ def suite_algebra(seed=0, tols=DEFAULT_TOLS):
 # ---------------------------------------------------------------------------
 # spaces suite checks
 
-def check_dimension_grid(tols, n_max=5, level_max=4, q=0.6, gamma=1.2, c=0.7):
+def check_dimension_grid(tols):
     """Kernel dimensions against the binomial law: the kernel raises
     DimensionMismatchError on a wrong dimension."""
+    n_max, level_max = HOMOGENEOUS_GRID
     for n in range(2, n_max + 1):
-        ctx = homogeneous_context(n, gamma, c, q)
+        ctx = homogeneous_context(n, 1.2, 0.7, 0.6)
         for N in range(level_max + 1):
             lowest_weight_kernel(ctx, N, None, tols)
     return CheckResult("dimension_grid", True)
 
 
-def check_dimension_grid_marked(tols, n_max=4, level_max=3):
+def check_dimension_grid_marked(tols):
     """Per-sector kernel dimensions are label-independent: the kernel raises
     DimensionMismatchError on a wrong dimension."""
     rng = np.random.default_rng(11)
+    n_max, level_max = MARKED_GRID
     for n in range(2, n_max + 1):
         ctx = _draw_marked(rng, n)
         for N in range(level_max + 1):
@@ -299,12 +309,12 @@ def check_dimension_grid_marked(tols, n_max=4, level_max=3):
     return CheckResult("dimension_grid_marked", True)
 
 
-def check_exact_kernels(n_max=4, level_max=3):
+def check_exact_kernels():
     """Exact lowest-weight kernels pass their dimension and exact A v = 0 checks."""
     ok = True
     detail = None
-    for n in range(2, n_max + 1):
-        for N in range(level_max + 1):
+    for n in range(2, 5):
+        for N in range(4):
             try:
                 lowest_weight_kernel_exact(n, N)
             except Exception as exc:
@@ -313,10 +323,10 @@ def check_exact_kernels(n_max=4, level_max=3):
     return CheckResult("exact_kernels", ok, None, detail)
 
 
-def check_span_equality(tols, rng, draws=3):
+def check_span_equality(tols, rng):
     """Monomial images span exactly the numeric kernel, both directions."""
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(3):
         q, gamma, c = _draw(rng)
         cases = [homogeneous_context(3, gamma, c, q), homogeneous_context(4, gamma, c, q), _draw_marked(rng, 3)]
         for ctx in cases:
@@ -329,10 +339,10 @@ def check_span_equality(tols, rng, draws=3):
     return CheckResult("span_equality", worst < tols.span_residual, worst)
 
 
-def check_decomposition(tols, q=0.6, gamma=1.1, c=0.8):
+def check_decomposition(tols):
     """Level decomposition at three slots, level three: block dimensions
     and Casimir multiplicities (1, 2, 3, 4)."""
-    ctx = homogeneous_context(3, gamma, c, q)
+    ctx = homogeneous_context(3, 1.1, 0.8, 0.6)
     rep = verify_decomposition(ctx, 3, None, tols)
     mults = [rep.eigen_multiplicities.get(j, 0) for j in range(4)]
     ok = rep.passed and rep.block_dims == [1, 2, 3, 4] and mults == [1, 2, 3, 4]
@@ -345,14 +355,11 @@ def check_decomposition(tols, q=0.6, gamma=1.1, c=0.8):
     )
 
 
-def check_counting_identities(n_max=5, level_max=4):
+def check_counting_identities():
     """Binomial counting laws and the frozen small tables."""
-    ok = True
-    for n in range(2, n_max + 1):
-        for N in range(level_max + 1):
-            total, parts = counts(n, N)
-            if sum(parts) != total:
-                ok = False
+    n_max, level_max = HOMOGENEOUS_GRID
+    grid = (counts(n, N) for n in range(2, n_max + 1) for N in range(level_max + 1))
+    ok = all(sum(parts) == total for total, parts in grid)
     ok = ok and counts(3, 3) == (10, [1, 2, 3, 4])
     ok = ok and counts(5, 2) == (15, [1, 4, 10])
     ok = ok and all(lowest_weight_dimension(2, N) == 1 for N in range(6))
@@ -365,7 +372,8 @@ def suite_spaces(seed=0, tols=DEFAULT_TOLS):
     report = SuiteReport(
         "spaces",
         seed,
-        {"grid": "n<=5, N<=4 homogeneous; n<=4, N<=3 marked", "tolerances": asdict(tols)},
+        {"grid": "n<=%d, N<=%d homogeneous; n<=%d, N<=%d marked" % (*HOMOGENEOUS_GRID, *MARKED_GRID),
+         "tolerances": asdict(tols)},
     )
     report.checks.append(check_counting_identities())
     report.checks.append(check_dimension_grid(tols))
@@ -382,13 +390,13 @@ def suite_spaces(seed=0, tols=DEFAULT_TOLS):
 # ---------------------------------------------------------------------------
 # braid suite checks
 
-def check_burau_family(n_max=6):
+def check_burau_family():
     """Rewrite route equals the closed level-1 family exactly, and the
     closed family equals an independent textbook quotient construction
     after the index-reversing rescaling."""
     ok = True
     detail = None
-    for n in range(3, n_max + 1):
+    for n in range(3, 7):
         rw = build_matrices(n, 1, route="rewrite", backend="laurent")
         cf = closed_form_burau(n)
         for a, b in zip(rw, cf):
@@ -409,12 +417,12 @@ def check_burau_family(n_max=6):
     return CheckResult("burau_family", ok, None, detail)
 
 
-def check_lkb_family(n_max=5):
+def check_lkb_family():
     """Rewrite route equals the closed level-2 family exactly; the n=3
     matrices equal the frozen printed pair (row convention)."""
     ok = True
     detail = None
-    for n in range(3, n_max + 1):
+    for n in range(3, 6):
         rw = build_matrices(n, 2, route="rewrite", backend="laurent")
         cf = closed_form_lkb(n)
         for a, b in zip(rw, cf):
@@ -439,10 +447,8 @@ def _marked_fixture_pair(ctx):
     """Frozen 6x6 expected matrices for the one-marked-slot family at
     n=3, on the basis (w_k with marked position j), k ascending and j
     descending, column convention."""
-    labs = set(ctx.labels)
-    counts_ = {lab: ctx.labels.count(lab) for lab in labs}
-    special = next(lab for lab in labs if counts_[lab] == 1)
-    base = next(lab for lab in labs if lab != special)
+    special = next(lab for lab in ctx.labels if ctx.labels.count(lab) == 1)
+    base = next(lab for lab in ctx.labels if lab != special)
     q = ctx.q
     g1, c1 = base.gamma, base.c
     g2, c2 = special.gamma, special.c
@@ -487,11 +493,11 @@ def marked_fixture_permutation(ctx, basis, special):
     return P
 
 
-def check_marked_fixture(rng, tols, draws=3):
-    """Rewrite-route matrices reproduce the frozen 6x6 pair at random
+def check_marked_fixture(rng, tols):
+    """Rewrite-route matrices reproduce the frozen 6x6 pair at three random
     parameter draws after the basis reordering."""
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(3):
         ctx = _draw_marked(rng, 3)
         mats = build_matrices(3, 1, route="rewrite", ctx=ctx)
         special, s1, s2 = _marked_fixture_pair(ctx)
@@ -503,10 +509,10 @@ def check_marked_fixture(rng, tols, draws=3):
 
 
 def _relation_grid():
-    return [(n, N) for n in (3, 4, 5) for N in (0, 1, 2, 3)]
+    return [(n, N) for n in RELATION_SLOTS for N in range(RELATION_LEVEL_MAX + 1)]
 
 
-def check_braid_relations(rng, tols, draws=5):
+def check_braid_relations(rng, tols):
     """Braid and far-commutation relations over the (n, N) grid: exact
     in Laurent mode, residual-bounded for numeric draws of both
     homogeneous and one-marked-slot label patterns, inverses included."""
@@ -519,7 +525,7 @@ def check_braid_relations(rng, tols, draws=5):
         if braid_relation_defect(f) != 0.0 or inverse_defect(f, g) != 0.0:
             exact_ok = False
             detail = {"n": n, "N": N, "stage": "laurent"}
-        for d in range(draws):
+        for d in range(DRAWS):
             q, gamma, c = _draw(rng)
             ctx = homogeneous_context(n, gamma, c, q) if d % 2 == 0 else _draw_marked(rng, n)
             fn = build_matrices(n, N, route="rewrite", ctx=ctx)
@@ -529,22 +535,14 @@ def check_braid_relations(rng, tols, draws=5):
     return CheckResult("braid_relations_grid", passed, worst, detail)
 
 
-def check_route_equivalence(rng, tols, draws=5):
+def check_route_equivalence(rng, tols, draws=DRAWS):
     """Direct tensor-coordinate route against the rewrite route, entry
     by entry, over homogeneous, marked, and all-distinct label draws."""
     worst = 0.0
     for d in range(draws):
         q, gamma, c = _draw(rng)
-        cases = []
-        for n in (2, 3, 4):
-            cases.append(homogeneous_context(n, gamma, c, q))
-            cases.append(_draw_marked(rng, n))
-        cases.append(
-            Context(
-                (RepLabel(gamma, c), RepLabel(gamma + 0.5, c + 0.4), RepLabel(gamma + 1.0, c + 0.8)),
-                q,
-            )
-        )
+        cases = [ctx for n in (2, 3, 4) for ctx in (homogeneous_context(n, gamma, c, q), _draw_marked(rng, n))]
+        cases.append(Context([RepLabel(gamma + 0.5 * k, c + 0.4 * k) for k in range(3)], q))
         for ctx in cases:
             for N in (0, 1, 2):
                 rw = build_matrices(ctx.n, N, route="rewrite", ctx=ctx)
@@ -560,7 +558,7 @@ def check_transition_formulas(rng):
     all k <= 1 transitions; the first k >= 2 disagreement is reported."""
     q, g1, c1 = _draw(rng)
     ctx = Context((RepLabel(g1, c1), RepLabel(g1 + 0.6, c1 + 0.5)), q)
-    rep = compare_transition_formulas(ctx, m_max=3)
+    rep = compare_transition_formulas(ctx)
     fd = rep["first_k_ge_2_difference"]
     ratio = None if fd is None else fd["multiset"] / fd["series"]
     passed = (
@@ -573,7 +571,7 @@ def check_transition_formulas(rng):
     return CheckResult("transition_formula_variants", passed, rep["k_le_1_deviation"], detail)
 
 
-def check_series_route_relations(rng, tols, draws=5):
+def check_series_route_relations(rng, tols, draws=DRAWS):
     """The series-oracle route itself satisfies the braid relations over
     the full (n, N) grid (numeric draws, both label patterns)."""
     worst = 0.0
@@ -625,7 +623,8 @@ def suite_braid(seed=0, tols=DEFAULT_TOLS):
     report = SuiteReport(
         "braid",
         seed,
-        {"relation_grid": "n in {3,4,5} x N in {0..3}", "draws": 5, "tolerances": asdict(tols)},
+        {"relation_grid": "n in {%s} x N in {0..%d}" % (",".join(map(str, RELATION_SLOTS)), RELATION_LEVEL_MAX),
+         "draws": DRAWS, "tolerances": asdict(tols)},
     )
     report.checks.append(check_burau_family())
     report.checks.append(check_lkb_family())

@@ -330,10 +330,7 @@ def span_residual(vectors, others):
     a zero vector in ``vectors`` has none and raises ValueError."""
     if not vectors:
         return 0.0
-    states = sorted(
-        {st for v in list(vectors) + list(others) for st in v.terms},
-        key=lambda s: (s.perm, s.occ),
-    )
+    states = sorted({st for v in list(vectors) + list(others) for st in v.terms})
     V = _coordinate_matrix(vectors, states, len(vectors), "F")
     W = _coordinate_matrix(others, states, len(others), "F")
     norms = np.linalg.norm(V, axis=0)

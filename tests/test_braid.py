@@ -183,10 +183,6 @@ class TestTransitionVariants:
         with pytest.raises(TypeError):
             sigma_weight_matrix(mctx3, 1, 1, binomial="multiset")
 
-    def test_rejects_negative_m_max(self, het2):
-        with pytest.raises(ValueError, match="m_max must be"):
-            compare_transition_formulas(het2, m_max=-1)
-
     def test_variants_differ_at_higher_occupation(self, het2):
         a = sigma_weight_matrix(het2, 2, 1)
         b = _multiset_weight_matrix(het2, 2, 1)

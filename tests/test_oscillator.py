@@ -140,9 +140,14 @@ class TestContext:
     (lambda: apply_generator("a+", 3, vacuum(homogeneous_context(2, G, C, Q))), "slot out of range"),
     (lambda: vacuum(homogeneous_context(2, G, C, Q)) + vacuum(homogeneous_context(2, G, C, Q)),
      "vectors from different contexts"),
+    (lambda: Context([(G, C)], Q), "labels must be RepLabel instances"),
+    (lambda: apply_monomial((-1, 0), vacuum(homogeneous_context(3, G, C, Q))), "power must be >= 0"),
+    (lambda: apply_monomial((1, 0, 0), vacuum(homogeneous_context(3, G, C, Q))), "need 2 powers"),
+    (lambda: apply_monomial((1.5,), vacuum(homogeneous_context(2, G, C, Q))), "power must be an integer"),
 ], ids=["label-gamma-str", "label-gamma-none", "label-c-bool", "context-q-str", "q-number-q-none",
         "context-no-labels", "homogeneous-n-bool", "homogeneous-n-float", "marked-n-float",
-        "generator-slot-out-of-range", "sum-across-contexts"])
+        "generator-slot-out-of-range", "sum-across-contexts", "context-label-not-replabel",
+        "monomial-negative-power", "monomial-extra-power", "monomial-float-power"])
 def test_rejects_invalid_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

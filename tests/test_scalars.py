@@ -54,9 +54,6 @@ class TestQNumber:
             for g in (0.5, 1.3, 2.7):
                 assert close(q_number(g, q), q_number(g, 1 / q))
 
-    def test_classical_limit_flag(self):
-        assert q_number(2.5, 0.5, classical=True) == 2.5
-
     def test_approaches_gamma_near_one(self):
         assert abs(q_number(3.0, 1.0 + 1e-9) - 3.0) < 1e-6
 
@@ -69,10 +66,9 @@ class TestQNumber:
     @pytest.mark.parametrize("gamma, q", [
         (1.0, math.nan), (1.0, math.inf), (math.nan, 0.5), (-math.inf, 0.5), (math.inf, 0.5),
     ])
-    @pytest.mark.parametrize("classical", [False, True])
-    def test_rejects_non_finite(self, gamma, q, classical):
+    def test_rejects_non_finite(self, gamma, q):
         with pytest.raises(ValueError, match="finite"):
-            q_number(gamma, q, classical=classical)
+            q_number(gamma, q)
 
     def test_negative_gamma_negative_value(self):
         assert q_number(-1.0, 0.5) < 0
@@ -107,6 +103,13 @@ class TestLaurent:
         for bad in (Fraction(1, 2), Fraction(2), 1.0, "1"):
             with pytest.raises(TypeError, match="must be integers"):
                 Laurent.x(0, bad)
+
+    def test_exponents_are_ints(self):
+        p = Laurent({np.int64(3): 2})
+        assert p.terms == {3: 2} and type(next(iter(p.terms))) is int
+        for bad in (lambda: Laurent.x(0.5), lambda: Laurent({2.9: 1}), lambda: Laurent({"3": 2})):
+            with pytest.raises(TypeError, match="exponents must be integers"):
+                bad()
 
     def test_pow_matches_repeated_product(self):
         p = L_ONE + 2 * X

@@ -37,7 +37,7 @@ class TestSuites:
 
     def test_star_intertwiner_rejects_three_slots(self):
         with pytest.raises(ValueError, match="two-slot check"):
-            verify.check_star_intertwiner(homogeneous_context(3, 1.0, 0.5, 0.6), 2, DEFAULT_TOLS)
+            verify.check_star_intertwiner(homogeneous_context(3, 1.0, 0.5, 0.6), DEFAULT_TOLS)
 
     def test_deterministic_given_seed(self):
         a = suite_braid(seed=3).to_json()
