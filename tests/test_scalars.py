@@ -66,7 +66,10 @@ class TestQNumber:
     @pytest.mark.parametrize("gamma, q", [
         (1.0, math.nan), (1.0, math.inf), (math.nan, 0.5), (-math.inf, 0.5), (math.inf, 0.5),
     ])
-    def test_rejects_non_finite(self, gamma, q):
+    @pytest.mark.parametrize("as_numpy", [False, True])
+    def test_rejects_non_finite(self, gamma, q, as_numpy):
+        if as_numpy:
+            gamma, q = np.float32(gamma), np.float32(q)
         with pytest.raises(ValueError, match="finite"):
             q_number(gamma, q)
 
